@@ -360,6 +360,22 @@ func BenchmarkDTAStreamFAdd(b *testing.B) {
 	b.ReportMetric(float64(len(pairs)), "dta-ops/op")
 }
 
+// BenchmarkHistoryAblation measures the pipeline-history ablation at
+// VR20 (both arms, three ops, 1000 pairs each) on a fresh Env per
+// iteration, so no summary is reused. Its fixed-history arm is the
+// interleaved [ref, p0, ref, p1, …] stream, sharded and 64 lanes per
+// walk like the real-history arm.
+func BenchmarkHistoryAblation(b *testing.B) {
+	e := benchEnv(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.HistoryAblation(experiments.NewEnv(e.F, e.Opts), vscale.VR20); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGateLevelDTA measures full-pipeline dynamic timing analysis
 // (both golden and undervolted instances, all stages) the way
 // characterization consumes it: 64 consecutive instructions per batch,

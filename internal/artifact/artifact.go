@@ -50,8 +50,11 @@ import (
 // artifact kind changes incompatibly (field renames, semantic changes to
 // stored statistics). Entries written under another version are treated
 // as misses, so stale caches age out instead of corrupting results.
-// Version 2 added the payload checksum.
-const SchemaVersion = 2
+// Version 2 added the payload checksum. Version 3 retires DTA summaries
+// and campaign cells whose sharded DTA streams could differ from the
+// serial stream (fp-div.d at VR20): their keys omit the worker count, so
+// only a version bump keeps such entries from being reused.
+const SchemaVersion = 3
 
 // Key identifies one artifact. Kind namespaces the artifact family; ID is
 // the canonical, human-readable encoding of every input that determines

@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"teva/internal/fpu"
@@ -494,11 +495,64 @@ func (a *Analyzer) packInputs(pair Pair) []bool {
 	return in
 }
 
+// AppendState appends the analyzer's cross-instruction state to dst as
+// packed bits: every expanded cycle's previous stage input (the wide
+// engine's lane-0 carries, the scalar engines' prevIn vectors), which is
+// all an instruction's records depend on besides its own operands. Two
+// hot analyzers with equal states produce identical records for any
+// continuation of the stream.
+func (a *Analyzer) AppendState(dst []uint64) []uint64 {
+	k := 0
+	push := func(b bool) {
+		if k%64 == 0 {
+			dst = append(dst, 0)
+		}
+		if b {
+			dst[len(dst)-1] |= 1 << uint(k%64)
+		}
+		k++
+	}
+	for _, c := range a.carry {
+		for _, w := range c {
+			push(w&1 != 0)
+		}
+	}
+	for _, p := range a.prevIn {
+		for _, b := range p {
+			push(b)
+		}
+	}
+	return dst
+}
+
+// setState restores a state captured by AppendState and marks the
+// analyzer hot, so its next instruction transitions from that state.
+func (a *Analyzer) setState(src []uint64) {
+	k := 0
+	next := func() bool {
+		b := src[k/64]>>uint(k%64)&1 != 0
+		k++
+		return b
+	}
+	for _, c := range a.carry {
+		for j := range c {
+			c[j] = 0
+			if next() {
+				c[j] = 1
+			}
+		}
+	}
+	for _, p := range a.prevIn {
+		for j := range p {
+			p[j] = next()
+		}
+	}
+	a.haveHot = true
+}
+
 // AnalyzeStream runs DTA over a stream of operand pairs, sharding across
-// workers. Pipeline history couples consecutive pairs, so every shard but
-// the first warms up on the previous shard's last pair — the same
-// transition a strictly serial run would see at that position — which
-// makes the returned records identical for any worker count. Results are
+// workers. Records are identical for any worker count (see
+// AnalyzeStreamCtx for the shard handoff that guarantees it). Results are
 // returned in input order.
 func AnalyzeStream(f *fpu.FPU, op fpu.Op, model vscale.Model, level vscale.VRLevel, exact bool, pairs []Pair, workers int) []Record {
 	return AnalyzeStreamAt(f, op, model.ScaleFor(level), exact, pairs, workers)
@@ -518,6 +572,10 @@ const (
 	MetricCycles      = "dta.cycles_analyzed"
 	MetricViolations  = "dta.endpoint_violations"
 	MetricShards      = "dta.shards"
+	// MetricShardReruns counts shards re-analyzed serially because their
+	// speculative warm-up state differed from the preceding shard's true
+	// end state (see AnalyzeStreamCtx).
+	MetricShardReruns = "dta.shard_reruns"
 )
 
 // AnalyzeStreamObs is AnalyzeStreamAt with metrics: pairs/cycles analyzed,
@@ -530,6 +588,16 @@ func AnalyzeStreamObs(f *fpu.FPU, op fpu.Op, scale float64, eng Engine, pairs []
 	return records
 }
 
+// warmDepth is how many preceding pairs a shard warms on before its
+// first pair. One pair makes the transition into pairs[lo] exact at
+// stage 0 only: later stages inherit whatever the cold start captured.
+// Each further pair makes the state the warm-up leaves more likely to
+// equal the serial one, so fewer shards need the handoff's re-run: over
+// fp-{mul,add,sub,div}.d × VR15/VR20 at 2, 8 and 64 workers, depths 1,
+// 2 and 3 left 93, 4 and 0 of 1704 boundaries mismatched. A warm pair
+// costs one single-lane walk.
+const warmDepth = 3
+
 // cancelChunk is how many pairs a shard analyzes between cancellation
 // checks. Small enough that a canceled matrix run stops within
 // milliseconds, large enough that the check is free against the cost of a
@@ -541,8 +609,20 @@ const cancelChunk = 256
 // the remainder once ctx is done. On cancellation the partially filled
 // records are returned alongside ctx.Err(); metrics are published only
 // for runs that complete, so interrupted runs cannot skew deterministic
-// snapshots. The success path is byte-identical to AnalyzeStreamObs for
-// any worker count.
+// snapshots.
+//
+// Pipeline history couples consecutive pairs, so sharding is a
+// speculation checked after the fact. Every shard but the first warms a
+// cold analyzer on the warmDepth pairs before it and records the state
+// that leaves (AppendState); every shard records its end state. The
+// warm-up reproduces the serial transition into pairs[lo] at stage 0,
+// but a later stage can capture a different (erroneous) value from the
+// cold start than the serial run did. After the parallel
+// pass the boundaries are walked in order: wherever shard w-1's true end
+// state differs from shard w's warmed state, shard w is re-analyzed from
+// the true state (and its end state updated before the next boundary).
+// The records are therefore exactly the serial ones for any worker
+// count.
 func AnalyzeStreamCtx(ctx context.Context, f *fpu.FPU, op fpu.Op, scale float64, eng Engine, pairs []Pair, workers int, m *obs.Registry) ([]Record, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -556,42 +636,63 @@ func AnalyzeStreamCtx(ctx context.Context, f *fpu.FPU, op fpu.Op, scale float64,
 	}
 	sp := m.Phase("dta")
 	chunk := (len(pairs) + workers - 1) / workers
-	shards := 0
+	// start[w] is shard w's state after its warm-up, end[w] its state
+	// after its last pair.
+	shards := (len(pairs) + chunk - 1) / chunk
+	start := make([][]uint64, shards)
+	end := make([][]uint64, shards)
+	// analyze runs pairs[lo:hi] on a, checking ctx between chunks, and
+	// reports whether it finished.
+	analyze := func(a *Analyzer, lo, hi int) bool {
+		for s := lo; s < hi; s += cancelChunk {
+			if ctx.Err() != nil {
+				return false
+			}
+			e := min(s+cancelChunk, hi)
+			a.AnalyzeBatch(pairs[s:e], records[s:e])
+		}
+		return true
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		if lo >= hi {
-			break
-		}
-		shards++
+	for w := 0; w < shards; w++ {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(w int) {
 			defer wg.Done()
+			lo, hi := w*chunk, min((w+1)*chunk, len(pairs))
 			a, pool := getAnalyzer(f, op, scale, eng)
 			defer pool.Put(a)
 			if lo > 0 {
-				// Reproduce the serial history at the shard boundary: the
-				// transition into pairs[lo] starts from the previous pair,
-				// not from a pairs[lo]→pairs[lo] self-transition.
-				a.Warm(pairs[lo-1])
-			}
-			for s := lo; s < hi; s += cancelChunk {
-				if ctx.Err() != nil {
-					return
+				// Speculate on the serial history at the shard boundary:
+				// the transition into pairs[lo] starts from the previous
+				// pairs, not from a pairs[lo]→pairs[lo] self-transition.
+				for _, p := range pairs[max(0, lo-warmDepth):lo] {
+					a.Warm(p)
 				}
-				e := s + cancelChunk
-				if e > hi {
-					e = hi
-				}
-				a.AnalyzeBatch(pairs[s:e], records[s:e])
+				start[w] = a.AppendState(nil)
 			}
-		}(lo, hi)
+			if analyze(a, lo, hi) {
+				end[w] = a.AppendState(nil)
+			}
+		}(w)
 	}
 	wg.Wait()
+	reruns := 0
+	var a *Analyzer
+	for w := 1; w < shards && ctx.Err() == nil; w++ {
+		if slices.Equal(start[w], end[w-1]) {
+			continue
+		}
+		if a == nil {
+			var pool *sync.Pool
+			a, pool = getAnalyzer(f, op, scale, eng)
+			defer pool.Put(a)
+		}
+		reruns++
+		a.setState(end[w-1])
+		if analyze(a, w*chunk, min((w+1)*chunk, len(pairs))) {
+			end[w] = a.AppendState(end[w][:0])
+		}
+	}
 	sp.End()
 	if err := ctx.Err(); err != nil {
 		return records, err
@@ -612,6 +713,7 @@ func AnalyzeStreamCtx(ctx context.Context, f *fpu.FPU, op fpu.Op, scale float64,
 		m.Counter(MetricCycles).Add(int64(len(pairs) * cyclesPerPair))
 		m.Counter(MetricViolations).Add(violations)
 		m.Counter(MetricShards).Add(int64(shards))
+		m.Counter(MetricShardReruns).Add(int64(reruns))
 	}
 	return records, nil
 }

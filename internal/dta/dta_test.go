@@ -276,9 +276,10 @@ func TestAnalyzeStreamWorkerCountInvariant(t *testing.T) {
 	// Regression: shards used to warm up on their own first pair (a
 	// pair→pair self-transition), so shard-boundary records depended on
 	// the worker count. Warming each shard with the previous shard's
-	// last pair makes the stream byte-identical for any sharding. The
-	// pair count is deliberately not a multiple of the worker counts so
-	// shard boundaries land mid-stream.
+	// last pair, checked against the previous shard's true end state,
+	// makes the stream byte-identical for any sharding. The pair count
+	// is deliberately not a multiple of the worker counts so shard
+	// boundaries land mid-stream.
 	for _, op := range []fpu.Op{fpu.DMul, fpu.DSub} {
 		pairs := randPairs(op, 257, 47)
 		serial := AnalyzeStream(testFPU, op, testModel, vscale.VR20, false, pairs, 1)

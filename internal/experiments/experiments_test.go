@@ -5,12 +5,16 @@ import (
 	"encoding/csv"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"teva/internal/campaign"
 	"teva/internal/core"
+	"teva/internal/dta"
 	"teva/internal/errmodel"
+	"teva/internal/fpu"
+	"teva/internal/prng"
 	"teva/internal/vscale"
 	"teva/internal/workloads"
 )
@@ -384,6 +388,55 @@ func TestHistoryAblation(t *testing.T) {
 	RenderHistory(&buf, "VR20", rows)
 	if !strings.Contains(buf.String(), "history") {
 		t.Fatal("render incomplete")
+	}
+}
+
+// TestFixedHistoryMatchesWarmLoop is the differential test of the
+// batched fixed-history arm against the serial loop it replaced: re-warm
+// one analyzer with the reference pair before every instruction. Records
+// must match bit for bit (not just the error ratio) at every worker
+// count. It also pins the one step the stream adds, ref→ref after the
+// cold warm-up: it must leave the analyzer's state unchanged for every
+// engine, or the stream's first record would differ from the loop's.
+func TestFixedHistoryMatchesWarmLoop(t *testing.T) {
+	f := testEnv.F.FPU
+	for _, op := range []fpu.Op{fpu.DMul, fpu.DSub, fpu.DAdd} {
+		src := prng.New(0x415)
+		pairs := make([]dta.Pair, 150)
+		for i := range pairs {
+			pairs[i] = dta.Pair{A: src.Uint64(), B: src.Uint64()}
+		}
+		for _, level := range []vscale.VRLevel{vscale.VR15, vscale.VR20} {
+			scale := testEnv.F.Volt.ScaleFor(level)
+			for _, eng := range []dta.Engine{dta.EngineWide, dta.EngineFast, dta.EngineExact} {
+				a := dta.NewEngineAt(f, op, scale, eng)
+				a.Warm(fixedHistoryRef)
+				once := a.AppendState(nil)
+				a.Warm(fixedHistoryRef)
+				if twice := a.AppendState(nil); !slices.Equal(once, twice) {
+					t.Fatalf("%s %s engine=%s: ref→ref changes the state cold→ref leaves", op, level.Name, eng)
+				}
+			}
+
+			oracle := make([]dta.Record, len(pairs))
+			a := dta.NewEngineAt(f, op, scale, dta.EngineWide)
+			for i, p := range pairs {
+				a.Warm(fixedHistoryRef)
+				oracle[i] = a.Analyze(p)
+			}
+			for _, workers := range []int{1, 2, 64} {
+				got := fixedHistoryRecords(f, op, scale, dta.EngineWide, pairs, workers)
+				if len(got) != len(oracle) {
+					t.Fatalf("%s %s workers=%d: %d records, want %d", op, level.Name, workers, len(got), len(oracle))
+				}
+				for i := range oracle {
+					if got[i] != oracle[i] {
+						t.Fatalf("%s %s workers=%d: record %d diverges from the warm loop:\n  loop   %+v\n  stream %+v",
+							op, level.Name, workers, i, oracle[i], got[i])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -173,16 +173,7 @@ func HistoryAblation(e *Env, level vscale.VRLevel) ([]HistoryRow, error) {
 			return dta.Summarize(op, recs)
 		})
 		fixed := e.cachedSummary("history/fixed/"+level.Name, op, scale, n, func() *dta.Summary {
-			// Fixed history: re-warm the analyzer with the same reference
-			// pair before every instruction.
-			recs := make([]dta.Record, len(pairs))
-			a := dta.NewEngineAt(e.F.FPU, op, scale, e.F.Cfg.Timing)
-			ref := dta.Pair{A: 0x3FF0000000000000, B: 0x3FF0000000000000} // 1.0, 1.0
-			for i, p := range pairs {
-				a.Warm(ref)
-				recs[i] = a.Analyze(p)
-			}
-			return dta.Summarize(op, recs)
+			return dta.Summarize(op, fixedHistoryRecords(e.F.FPU, op, scale, e.F.Cfg.Timing, pairs, e.F.Cfg.Workers))
 		})
 		rows = append(rows, HistoryRow{
 			Op:           op,
@@ -191,6 +182,30 @@ func HistoryAblation(e *Env, level vscale.VRLevel) ([]HistoryRow, error) {
 		})
 	}
 	return rows, nil
+}
+
+// fixedHistoryRef is the fixed-history arm's reference pair (1.0, 1.0).
+var fixedHistoryRef = dta.Pair{A: 0x3FF0000000000000, B: 0x3FF0000000000000}
+
+// fixedHistoryRecords is the ablation's fixed-history arm: each pair is
+// analyzed right after fixedHistoryRef, so its transition starts from the
+// state ref leaves rather than from the previous pair. That is one serial
+// stream, [ref, p0, ref, p1, …], whose odd-index records are the arm, so
+// it runs sharded with 64 lanes per walk like any other stream. The
+// stream's analyzer warms on its first pair, which adds a ref→ref step
+// before p0 that a Warm(ref)+Analyze(p) loop would not take; from the
+// state cold→ref leaves, ref→ref returns the same state
+// (TestFixedHistoryMatchesWarmLoop), so the records are the loop's.
+func fixedHistoryRecords(f *fpu.FPU, op fpu.Op, scale float64, eng dta.Engine, pairs []dta.Pair, workers int) []dta.Record {
+	stream := make([]dta.Pair, 0, 2*len(pairs))
+	for _, p := range pairs {
+		stream = append(stream, fixedHistoryRef, p)
+	}
+	recs := dta.AnalyzeStreamObs(f, op, scale, eng, stream, workers, nil)
+	for i := range pairs {
+		recs[i] = recs[2*i+1]
+	}
+	return recs[:len(pairs)]
 }
 
 // RenderHistory prints the ablation.
