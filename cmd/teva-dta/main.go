@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -72,10 +73,13 @@ func main() {
 	}
 	start := time.Now()
 
+	ctx := context.Background()
 	var model errmodel.Model
 	switch strings.ToLower(*modelName) {
 	case "ia":
-		model = f.DevelopIA(level)
+		if model, err = f.DevelopIA(ctx, level); err != nil {
+			fatal(err)
+		}
 	case "wa":
 		if *workloadName == "" {
 			fatal(fmt.Errorf("-model wa requires -workload"))
@@ -88,7 +92,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		model = f.DevelopWA(level, tr)
+		if model, err = f.DevelopWA(ctx, level, tr); err != nil {
+			fatal(err)
+		}
 	case "da":
 		ws, err := workloads.All(scale)
 		if err != nil {
@@ -102,11 +108,9 @@ func main() {
 			}
 			trs = append(trs, tr)
 		}
-		da, err := f.DevelopDA(level, trs)
-		if err != nil {
+		if model, err = f.DevelopDA(ctx, level, trs); err != nil {
 			fatal(err)
 		}
-		model = da
 	default:
 		fatal(fmt.Errorf("unknown model %q (da, ia, wa)", *modelName))
 	}

@@ -119,7 +119,7 @@ func main() {
 		}
 		switch strings.ToLower(*modelName) {
 		case "ia":
-			m, err := f.DevelopIACtx(ctx, level)
+			m, err := f.DevelopIA(ctx, level)
 			if err != nil {
 				exitOnErr(err, reg, *metricsOut, *maxDuration)
 			}
@@ -129,7 +129,7 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			m, err := f.DevelopWACtx(ctx, level, tr)
+			m, err := f.DevelopWA(ctx, level, tr)
 			if err != nil {
 				exitOnErr(err, reg, *metricsOut, *maxDuration)
 			}
@@ -147,7 +147,7 @@ func main() {
 				}
 				trs = append(trs, tr)
 			}
-			model, err = f.DevelopDACtx(ctx, level, trs)
+			model, err = f.DevelopDA(ctx, level, trs)
 			if err != nil {
 				exitOnErr(err, reg, *metricsOut, *maxDuration)
 			}
@@ -163,7 +163,7 @@ func main() {
 	fmt.Printf("injecting: %s into %s (%s scale), %d runs\n",
 		model.Describe(), w.Name, scale, n)
 	start := time.Now()
-	res, err := f.EvaluateCtx(ctx, w, model, n)
+	res, err := f.Evaluate(ctx, w, model, n)
 	if err != nil {
 		exitOnErr(err, reg, *metricsOut, *maxDuration)
 	}

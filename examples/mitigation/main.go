@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -79,10 +80,14 @@ func main() {
 		log.Fatal(err)
 	}
 	level := vscale.VR20
-	wa := f.DevelopWA(level, tr)
+	ctx := context.Background()
+	wa, err := f.DevelopWA(ctx, level, tr)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	const runs = 50
-	baseline, err := f.Evaluate(w, wa, runs)
+	baseline, err := f.Evaluate(ctx, w, wa, runs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,7 +105,7 @@ func main() {
 		}
 	}
 
-	mitigated, err := f.Evaluate(w, mit, runs)
+	mitigated, err := f.Evaluate(ctx, w, mit, runs)
 	if err != nil {
 		log.Fatal(err)
 	}

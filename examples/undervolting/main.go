@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -50,13 +51,17 @@ func main() {
 	fmt.Printf("%-8s %-9s %-10s %-12s %-10s %s\n",
 		"level", "supply", "delay x", "AVM (WA)", "power", "verdict")
 
+	ctx := context.Background()
 	const runs = 40
 	safest := vscale.VRLevel{Name: "nominal", Reduction: 0}
 	for i := 1; i <= steps; i++ {
 		red := 0.25 * float64(i) / float64(steps) // sweep up to 25% reduction
 		level := vscale.VRLevel{Name: fmt.Sprintf("VR%02.0f", red*100), Reduction: red}
-		wa := f.DevelopWA(level, tr)
-		res, err := f.EvaluateSingle(w, wa, runs)
+		wa, err := f.DevelopWA(ctx, level, tr)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := f.EvaluateSingle(ctx, w, wa, runs)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -175,16 +175,10 @@ func randomPairs(op fpu.Op, n int, src *prng.Source) []dta.Pair {
 // characterization and Figure 7's data. Each op's operand stream is
 // seeded independently of the others, so per-op summaries are stable
 // cache artifacts regardless of which ops were analyzed before them.
-func (f *Framework) RandomSummaries(level vscale.VRLevel) map[fpu.Op]*dta.Summary {
-	sums, _ := f.RandomSummariesCtx(context.Background(), level)
-	return sums
-}
-
-// RandomSummariesCtx is RandomSummaries with cooperative cancellation.
 // Cancellation mid-characterization never poisons the single-flight slot:
 // the aborted slot is discarded, so a later call (e.g. a resumed run)
 // recomputes instead of inheriting the cancellation error.
-func (f *Framework) RandomSummariesCtx(ctx context.Context, level vscale.VRLevel) (map[fpu.Op]*dta.Summary, error) {
+func (f *Framework) RandomSummaries(ctx context.Context, level vscale.VRLevel) (map[fpu.Op]*dta.Summary, error) {
 	f.mu.Lock()
 	call, ok := f.randomCalls[level.Name]
 	if !ok {
@@ -212,7 +206,7 @@ func (f *Framework) randomSummaries(ctx context.Context, level vscale.VRLevel) (
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		s, err := f.RandomSummaryOpCtx(ctx, level, op)
+		s, err := f.RandomSummaryOp(ctx, level, op)
 		if err != nil {
 			return nil, err
 		}
@@ -221,13 +215,13 @@ func (f *Framework) randomSummaries(ctx context.Context, level vscale.VRLevel) (
 	return out, nil
 }
 
-// RandomSummaryOpCtx characterizes (or reloads from the artifact store)
+// RandomSummaryOp characterizes (or reloads from the artifact store)
 // a single op's random-operand DTA summary at a level — one loop
-// iteration of RandomSummariesCtx, exposed so a shard worker can compute
+// iteration of RandomSummaries, exposed so a shard worker can compute
 // exactly one (level, op) unit. The artifact key is identical to the one
 // the full loop writes, so a prewarmed store makes the in-process loop a
 // pure cache read.
-func (f *Framework) RandomSummaryOpCtx(ctx context.Context, level vscale.VRLevel, op fpu.Op) (*dta.Summary, error) {
+func (f *Framework) RandomSummaryOp(ctx context.Context, level vscale.VRLevel, op fpu.Op) (*dta.Summary, error) {
 	scale := f.Volt.ScaleFor(level)
 	n := f.Cfg.RandomOperands
 	if op == fpu.DDiv || op == fpu.SDiv {
@@ -242,7 +236,7 @@ func (f *Framework) RandomSummaryOpCtx(ctx context.Context, level vscale.VRLevel
 	s := new(dta.Summary)
 	if !f.Cfg.Artifacts.Load(key, s) {
 		pairs := randomPairs(op, n, prng.New(opSeed))
-		recs, err := dta.AnalyzeStreamCtx(ctx, f.FPU, op, scale, f.Cfg.Timing, pairs, f.Cfg.Workers, f.Cfg.Metrics)
+		recs, err := dta.AnalyzeStream(ctx, f.FPU, op, scale, f.Cfg.Timing, pairs, f.Cfg.Workers, f.Cfg.Metrics)
 		if err != nil {
 			return nil, err
 		}
@@ -289,13 +283,7 @@ func (f *Framework) validateScreen(screened bool, op fpu.Op, scale float64, s *d
 // trace — the WA model's characterization and Figure 8's data. The cache
 // key folds in the trace's content fingerprint, so summaries from a
 // different workload scale or trace seed can never be confused.
-func (f *Framework) WorkloadSummaries(level vscale.VRLevel, tr *trace.Trace) map[fpu.Op]*dta.Summary {
-	sums, _ := f.WorkloadSummariesCtx(context.Background(), level, tr)
-	return sums
-}
-
-// WorkloadSummariesCtx is WorkloadSummaries with cooperative cancellation.
-func (f *Framework) WorkloadSummariesCtx(ctx context.Context, level vscale.VRLevel, tr *trace.Trace) (map[fpu.Op]*dta.Summary, error) {
+func (f *Framework) WorkloadSummaries(ctx context.Context, level vscale.VRLevel, tr *trace.Trace) (map[fpu.Op]*dta.Summary, error) {
 	out := make(map[fpu.Op]*dta.Summary, fpu.NumOps)
 	for _, op := range fpu.Ops() {
 		if len(tr.Pairs[op]) == 0 {
@@ -304,7 +292,7 @@ func (f *Framework) WorkloadSummariesCtx(ctx context.Context, level vscale.VRLev
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		s, err := f.WorkloadSummaryOpCtx(ctx, level, tr, op)
+		s, err := f.WorkloadSummaryOp(ctx, level, tr, op)
 		if err != nil {
 			return nil, err
 		}
@@ -315,11 +303,11 @@ func (f *Framework) WorkloadSummariesCtx(ctx context.Context, level vscale.VRLev
 	return out, nil
 }
 
-// WorkloadSummaryOpCtx characterizes (or reloads) a single op's
+// WorkloadSummaryOp characterizes (or reloads) a single op's
 // workload-operand DTA summary — one loop iteration of
-// WorkloadSummariesCtx, exposed for shard workers. It returns (nil, nil)
+// WorkloadSummaries, exposed for shard workers. It returns (nil, nil)
 // when the trace carries no operands for op.
-func (f *Framework) WorkloadSummaryOpCtx(ctx context.Context, level vscale.VRLevel, tr *trace.Trace, op fpu.Op) (*dta.Summary, error) {
+func (f *Framework) WorkloadSummaryOp(ctx context.Context, level vscale.VRLevel, tr *trace.Trace, op fpu.Op) (*dta.Summary, error) {
 	pool := tr.Pairs[op]
 	if len(pool) == 0 {
 		return nil, nil
@@ -346,7 +334,7 @@ func (f *Framework) WorkloadSummaryOpCtx(ctx context.Context, level vscale.VRLev
 		for i := range pairs {
 			pairs[i] = pool[rs.Intn(len(pool))]
 		}
-		recs, err := dta.AnalyzeStreamCtx(ctx, f.FPU, op, scale, f.Cfg.Timing, pairs, f.Cfg.Workers, f.Cfg.Metrics)
+		recs, err := dta.AnalyzeStream(ctx, f.FPU, op, scale, f.Cfg.Timing, pairs, f.Cfg.Workers, f.Cfg.Metrics)
 		if err != nil {
 			return nil, err
 		}
@@ -369,12 +357,7 @@ func (f *Framework) CaptureTrace(w *workloads.Workload) (*trace.Trace, error) {
 // Monte-Carlo instruction sample drawn from the benchmarks' dynamic
 // instruction distribution (instructions outside the FPU datapath cannot
 // fail and dilute the ratio, as in the paper's fixed-ER estimate).
-func (f *Framework) DevelopDA(level vscale.VRLevel, traces []*trace.Trace) (*errmodel.DAModel, error) {
-	return f.DevelopDACtx(context.Background(), level, traces)
-}
-
-// DevelopDACtx is DevelopDA with cooperative cancellation.
-func (f *Framework) DevelopDACtx(ctx context.Context, level vscale.VRLevel, traces []*trace.Trace) (*errmodel.DAModel, error) {
+func (f *Framework) DevelopDA(ctx context.Context, level vscale.VRLevel, traces []*trace.Trace) (*errmodel.DAModel, error) {
 	if len(traces) == 0 {
 		return nil, fmt.Errorf("core: DA development needs workload traces")
 	}
@@ -389,7 +372,7 @@ func (f *Framework) DevelopDACtx(ctx context.Context, level vscale.VRLevel, trac
 	if totalInstr == 0 {
 		return nil, fmt.Errorf("core: empty traces")
 	}
-	sums, err := f.RandomSummariesCtx(ctx, level)
+	sums, err := f.RandomSummaries(ctx, level)
 	if err != nil {
 		return nil, err
 	}
@@ -403,14 +386,8 @@ func (f *Framework) DevelopDACtx(ctx context.Context, level vscale.VRLevel, trac
 }
 
 // DevelopIA builds the instruction-aware model at the level.
-func (f *Framework) DevelopIA(level vscale.VRLevel) *errmodel.IAModel {
-	m, _ := f.DevelopIACtx(context.Background(), level)
-	return m
-}
-
-// DevelopIACtx is DevelopIA with cooperative cancellation.
-func (f *Framework) DevelopIACtx(ctx context.Context, level vscale.VRLevel) (*errmodel.IAModel, error) {
-	sums, err := f.RandomSummariesCtx(ctx, level)
+func (f *Framework) DevelopIA(ctx context.Context, level vscale.VRLevel) (*errmodel.IAModel, error) {
+	sums, err := f.RandomSummaries(ctx, level)
 	if err != nil {
 		return nil, err
 	}
@@ -418,14 +395,8 @@ func (f *Framework) DevelopIACtx(ctx context.Context, level vscale.VRLevel) (*er
 }
 
 // DevelopWA builds the workload-aware model for one benchmark trace.
-func (f *Framework) DevelopWA(level vscale.VRLevel, tr *trace.Trace) *errmodel.WAModel {
-	m, _ := f.DevelopWACtx(context.Background(), level, tr)
-	return m
-}
-
-// DevelopWACtx is DevelopWA with cooperative cancellation.
-func (f *Framework) DevelopWACtx(ctx context.Context, level vscale.VRLevel, tr *trace.Trace) (*errmodel.WAModel, error) {
-	sums, err := f.WorkloadSummariesCtx(ctx, level, tr)
+func (f *Framework) DevelopWA(ctx context.Context, level vscale.VRLevel, tr *trace.Trace) (*errmodel.WAModel, error) {
+	sums, err := f.WorkloadSummaries(ctx, level, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -433,26 +404,17 @@ func (f *Framework) DevelopWACtx(ctx context.Context, level vscale.VRLevel, tr *
 }
 
 // Evaluate runs the application-evaluation phase for one cell with the
-// model injecting stochastically throughout each run.
-func (f *Framework) Evaluate(w *workloads.Workload, m errmodel.Model, runs int) (*campaign.Result, error) {
-	return f.evaluate(context.Background(), w, m, runs, false)
-}
-
-// EvaluateCtx is Evaluate with cooperative cancellation: workers stop
+// model injecting stochastically throughout each run. Workers stop
 // picking up injection runs once ctx is done and the cell errors out
 // instead of producing a partially sampled (statistically biased) result.
-func (f *Framework) EvaluateCtx(ctx context.Context, w *workloads.Workload, m errmodel.Model, runs int) (*campaign.Result, error) {
+func (f *Framework) Evaluate(ctx context.Context, w *workloads.Workload, m errmodel.Model, runs int) (*campaign.Result, error) {
 	return f.evaluate(ctx, w, m, runs, false)
 }
 
 // EvaluateSingle runs the paper's statistical-fault-injection discipline:
-// exactly one injected error per run (Section V's 1068-run methodology).
-func (f *Framework) EvaluateSingle(w *workloads.Workload, m errmodel.Model, runs int) (*campaign.Result, error) {
-	return f.evaluate(context.Background(), w, m, runs, true)
-}
-
-// EvaluateSingleCtx is EvaluateSingle with cooperative cancellation.
-func (f *Framework) EvaluateSingleCtx(ctx context.Context, w *workloads.Workload, m errmodel.Model, runs int) (*campaign.Result, error) {
+// exactly one injected error per run (Section V's 1068-run methodology),
+// canceled like Evaluate.
+func (f *Framework) EvaluateSingle(ctx context.Context, w *workloads.Workload, m errmodel.Model, runs int) (*campaign.Result, error) {
 	return f.evaluate(ctx, w, m, runs, true)
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"teva/internal/campaign"
@@ -57,8 +58,14 @@ func TestRandomSummariesCachedAndShaped(t *testing.T) {
 		t.Skip("random characterization")
 	}
 	f := testFramework
-	s1 := f.RandomSummaries(vscale.VR20)
-	s2 := f.RandomSummaries(vscale.VR20)
+	s1, err := f.RandomSummaries(context.Background(), vscale.VR20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := f.RandomSummaries(context.Background(), vscale.VR20)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s1[fpu.DMul] != s2[fpu.DMul] {
 		t.Fatal("summaries not cached")
 	}
@@ -93,7 +100,7 @@ func isTrace(t *testing.T) *trace.Trace {
 func TestDevelopDA(t *testing.T) {
 	f := testFramework
 	tr := isTrace(t)
-	da, err := f.DevelopDA(vscale.VR20, []*trace.Trace{tr})
+	da, err := f.DevelopDA(context.Background(), vscale.VR20, []*trace.Trace{tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,17 +109,24 @@ func TestDevelopDA(t *testing.T) {
 	}
 	// is runs plenty of fp-mul.d, which fails at VR20, so the mixed
 	// ratio must be positive but heavily diluted by integer work.
-	mulER := f.RandomSummaries(vscale.VR20)[fpu.DMul].ErrorRatio()
+	sums, err := f.RandomSummaries(context.Background(), vscale.VR20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mulER := sums[fpu.DMul].ErrorRatio()
 	if da.ER <= 0 || da.ER >= mulER {
 		t.Fatalf("DA ER %v not in (0, %v)", da.ER, mulER)
 	}
-	if _, err := f.DevelopDA(vscale.VR20, nil); err == nil {
+	if _, err := f.DevelopDA(context.Background(), vscale.VR20, nil); err == nil {
 		t.Fatal("empty trace list must error")
 	}
 }
 
 func TestDevelopIA(t *testing.T) {
-	ia := testFramework.DevelopIA(vscale.VR20)
+	ia, err := testFramework.DevelopIA(context.Background(), vscale.VR20)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ia.Level() != "VR20" {
 		t.Fatal("level")
 	}
@@ -139,14 +153,20 @@ func TestDevelopIA(t *testing.T) {
 func TestDevelopWA(t *testing.T) {
 	f := testFramework
 	tr := isTrace(t)
-	wa := f.DevelopWA(vscale.VR20, tr)
+	wa, err := f.DevelopWA(context.Background(), vscale.VR20, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if wa.Workload != "is" || wa.Level() != "VR20" {
 		t.Fatal("WA metadata")
 	}
 	// is's randlc multiplications operate on large integral doubles whose
 	// products excite the multiplier; the model must capture a workload-
 	// specific ratio (positive, different from the IA random-operand one).
-	ia := f.DevelopIA(vscale.VR20)
+	ia, err := f.DevelopIA(context.Background(), vscale.VR20)
+	if err != nil {
+		t.Fatal(err)
+	}
 	waER := wa.PerOp[fpu.DMul].ER
 	iaER := ia.PerOp[fpu.DMul].ER
 	if waER == 0 {
@@ -170,8 +190,11 @@ func TestEvaluateEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := isTrace(t)
-	wa := f.DevelopWA(vscale.VR20, tr)
-	res, err := f.Evaluate(w, wa, 24)
+	wa, err := f.DevelopWA(context.Background(), vscale.VR20, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Evaluate(context.Background(), w, wa, 24)
 	if err != nil {
 		t.Fatal(err)
 	}

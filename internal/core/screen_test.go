@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -35,8 +36,14 @@ func TestScreenedSummariesByteIdentical(t *testing.T) {
 	base, _ := screenFramework(t, dta.ScreenConfig{})
 	scr, reg := screenFramework(t, dta.ScreenConfig{Enabled: true})
 
-	want := base.RandomSummaries(vscale.VR15)
-	got := scr.RandomSummaries(vscale.VR15)
+	want, err := base.RandomSummaries(context.Background(), vscale.VR15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := scr.RandomSummaries(context.Background(), vscale.VR15)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, op := range fpu.Ops() {
 		wj, err := json.Marshal(want[op])
 		if err != nil {
@@ -74,7 +81,7 @@ func TestScreenedSummariesByteIdentical(t *testing.T) {
 // ever disagrees with simulation.
 func TestScreenValidationMode(t *testing.T) {
 	f, reg := screenFramework(t, dta.ScreenConfig{Enabled: true, Validate: true})
-	if _, err := f.RandomSummariesCtx(t.Context(), vscale.VR20); err != nil {
+	if _, err := f.RandomSummaries(context.Background(), vscale.VR20); err != nil {
 		t.Fatalf("screen validation failed: %v", err)
 	}
 	screened := reg.Counter(dta.MetricScreenedOps).Value()

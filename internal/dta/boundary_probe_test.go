@@ -1,6 +1,7 @@
 package dta
 
 import (
+	"context"
 	"testing"
 
 	"teva/internal/fpu"
@@ -37,11 +38,14 @@ func TestProbeShardBoundaryAtStress(t *testing.T) {
 	for _, op := range []fpu.Op{fpu.DMul, fpu.DAdd, fpu.DSub, fpu.DDiv} {
 		pairs := randPairs(op, n, 47)
 		for _, c := range corners {
-			serial := AnalyzeStreamObs(testFPU, op, c.scale, EngineWide, pairs, 1, nil)
+			serial := stream(t, op, c.scale, EngineWide, pairs, 1)
 			for _, eng := range []Engine{EngineWide, EngineFast} {
 				for _, workers := range fanouts {
 					m := obs.NewRegistry(nil)
-					got := AnalyzeStreamObs(testFPU, op, c.scale, eng, pairs, workers, m)
+					got, err := AnalyzeStream(context.Background(), testFPU, op, c.scale, eng, pairs, workers, m)
+					if err != nil {
+						t.Fatal(err)
+					}
 					reruns += m.Counter(MetricShardReruns).Value()
 					for i := range serial {
 						if got[i] != serial[i] {

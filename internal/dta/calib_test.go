@@ -1,8 +1,8 @@
 package dta
 
 import (
+	"context"
 	"fmt"
-	"math"
 	"testing"
 	"time"
 
@@ -46,16 +46,13 @@ func TestCalibrationProbe(t *testing.T) {
 		pairs := mkPairs(op, n)
 		for _, lv := range []vscale.VRLevel{vscale.VR15, vscale.VR20} {
 			start := time.Now()
-			recs := AnalyzeStream(f, op, m, lv, false, pairs, 0)
-			sum := Summarize(op, recs)
-			var maxArr, meanArr float64
-			for _, r := range recs {
-				maxArr = math.Max(maxArr, r.MaxArrivalPS)
-				meanArr += r.MaxArrivalPS
+			recs, err := AnalyzeStream(context.Background(), f, op, m.ScaleFor(lv), EngineWide, pairs, 0, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			meanArr /= float64(len(recs))
-			fmt.Printf("%-9s %-5s ER=%.4f multi=%.2f meanArr=%.0f maxArr=%.0f deadline=%.0f (%.1fs)\n",
-				op, lv.Name, sum.ErrorRatio(), sum.MultiBitFraction(), meanArr, maxArr,
+			sum := Summarize(op, recs)
+			fmt.Printf("%-9s %-5s ER=%.4f multi=%.2f deadline=%.0f (%.1fs)\n",
+				op, lv.Name, sum.ErrorRatio(), sum.MultiBitFraction(),
 				f.CLK-35*m.ScaleFor(lv), time.Since(start).Seconds())
 		}
 	}

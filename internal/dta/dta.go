@@ -24,7 +24,6 @@ import (
 	"teva/internal/logicsim"
 	"teva/internal/obs"
 	"teva/internal/timingsim"
-	"teva/internal/vscale"
 )
 
 // Record is the DTA outcome for one executed instruction.
@@ -38,10 +37,6 @@ type Record struct {
 	// Mask is Golden XOR Faulty: set bits are timing-corrupted output
 	// bits. Zero means no timing error manifested.
 	Mask uint64
-	// MaxArrivalPS is the worst (scaled) signal arrival observed in any
-	// stage while executing this instruction, a dynamic-timing-slack
-	// diagnostic.
-	MaxArrivalPS float64
 }
 
 // Erroneous reports whether the instruction suffered a timing error.
@@ -101,14 +96,6 @@ func ParseEngine(s string) (Engine, error) {
 	return EngineWide, fmt.Errorf("dta: unknown timing engine %q (wide, fast, exact)", s)
 }
 
-// engineFor maps the legacy exact flag onto an engine.
-func engineFor(exact bool) Engine {
-	if exact {
-		return EngineExact
-	}
-	return EngineWide
-}
-
 // Analyzer runs DTA for one instruction type at one voltage corner.
 type Analyzer struct {
 	p     *fpu.Pipeline
@@ -142,28 +129,11 @@ type Analyzer struct {
 	haveHot   bool
 }
 
-// New returns an analyzer for the op's pipeline on the given FPU at the
-// given voltage-reduction level. When exact is true the event-driven
-// timing engine is used instead of the (wide) levelized engine.
-func New(f *fpu.FPU, op fpu.Op, model vscale.Model, level vscale.VRLevel, exact bool) *Analyzer {
-	return NewEngineAt(f, op, model.ScaleFor(level), engineFor(exact))
-}
-
-// NewEngine is New with an explicit engine choice.
-func NewEngine(f *fpu.FPU, op fpu.Op, model vscale.Model, level vscale.VRLevel, eng Engine) *Analyzer {
-	return NewEngineAt(f, op, model.ScaleFor(level), eng)
-}
-
-// NewAt returns an analyzer at an arbitrary delay-scale factor. This is
-// how the other delay-increase sources of the paper's Section VI
-// (overclocking, temperature, aging — see vscale.StressCorner) reuse the
-// same analysis path.
-func NewAt(f *fpu.FPU, op fpu.Op, scale float64, exact bool) *Analyzer {
-	return NewEngineAt(f, op, scale, engineFor(exact))
-}
-
-// NewEngineAt is NewAt with an explicit engine choice.
-func NewEngineAt(f *fpu.FPU, op fpu.Op, scale float64, eng Engine) *Analyzer {
+// New returns an analyzer for the op's pipeline on the given FPU at a
+// delay-scale factor: a voltage-reduction level's (vscale.Model.ScaleFor)
+// or any other delay-increase source's (overclocking, temperature, aging;
+// see vscale.StressCorner), all through the same analysis path.
+func New(f *fpu.FPU, op fpu.Op, scale float64, eng Engine) *Analyzer {
 	p := f.Pipeline(op)
 	a := &Analyzer{p: p, clk: f.CLK, scale: scale, eng: eng}
 	// The golden engines run strictly cycle by cycle and keep no state
@@ -270,7 +240,7 @@ func getAnalyzer(f *fpu.FPU, op fpu.Op, scale float64, eng Engine) (*Analyzer, *
 		a.Reset()
 		return a, pool
 	}
-	return NewEngineAt(f, op, scale, eng), pool
+	return New(f, op, scale, eng), pool
 }
 
 // Op returns the analyzed instruction.
@@ -346,7 +316,7 @@ func (a *Analyzer) AnalyzeBatch(pairs []Pair, recs []Record) {
 		for i := lo; i < hi; i++ {
 			rec := &recs[i]
 			rec.A, rec.B = pairs[i].A, pairs[i].B
-			rec.Faulty, rec.MaxArrivalPS = a.faultyStep(pairs[i])
+			rec.Faulty = a.faultyStep(pairs[i])
 			rec.Mask = rec.Golden ^ rec.Faulty
 		}
 	}
@@ -406,12 +376,12 @@ func (a *Analyzer) goldenBatch(pairs []Pair, recs []Record) {
 
 // faultyBatch executes up to 64 consecutive instructions in the
 // undervolted domain with one wide walk per pipeline cycle, filling
-// recs[i].Faulty and recs[i].MaxArrivalPS. The transition history is the
-// exact serial one: lane L's previous stage input is lane L-1's current
-// one (the preceding instruction), realized by shifting each cycle's
-// input words up one lane with a.carry supplying lane 0 across batch
-// boundaries. Lanes past len(pairs) are forced transition-free so a
-// short batch costs (and records) nothing extra.
+// recs[i].Faulty. The transition history is the exact serial one: lane
+// L's previous stage input is lane L-1's current one (the preceding
+// instruction), realized by shifting each cycle's input words up one
+// lane with a.carry supplying lane 0 across batch boundaries. Lanes past
+// len(pairs) are forced transition-free so a short batch costs (and
+// records) nothing extra.
 func (a *Analyzer) faultyBatch(pairs []Pair, recs []Record) {
 	a.haveHot = true
 	n := len(pairs)
@@ -419,9 +389,6 @@ func (a *Analyzer) faultyBatch(pairs []Pair, recs []Record) {
 	inputArrival := lib.ClockToQ * a.scale
 	deadline := a.clk - lib.Setup*a.scale
 	active := ^uint64(0) >> uint(64-n)
-	for i := range recs[:n] {
-		recs[i].MaxArrivalPS = 0
-	}
 	for ci := range a.stages {
 		cur := a.wordBuf[ci]
 		prev := a.widePrev[:len(cur)]
@@ -436,11 +403,6 @@ func (a *Analyzer) faultyBatch(pairs []Pair, recs []Record) {
 			carry[j] = cw >> uint(n-1) & 1
 		}
 		sm := a.wtiming[ci].Run(prev, cur, inputArrival, deadline)
-		for lane := 0; lane < n; lane++ {
-			if wa := sm.WorstArrival[lane]; wa > recs[lane].MaxArrivalPS {
-				recs[lane].MaxArrivalPS = wa
-			}
-		}
 		// Erroneously captured values feed the next stage, lane by lane.
 		copy(a.wordBuf[ci+1], sm.Captured)
 	}
@@ -455,9 +417,8 @@ func (a *Analyzer) faultyBatch(pairs []Pair, recs []Record) {
 }
 
 // faultyStep executes one instruction in the undervolted domain on a
-// scalar engine, returning the captured result encoding and the worst
-// arrival observed.
-func (a *Analyzer) faultyStep(pair Pair) (faulty uint64, maxArrivalPS float64) {
+// scalar engine, returning the captured result encoding.
+func (a *Analyzer) faultyStep(pair Pair) uint64 {
 	a.haveHot = true
 	lib := a.stages[0].N.Lib
 	inputArrival := lib.ClockToQ * a.scale
@@ -469,9 +430,6 @@ func (a *Analyzer) faultyStep(pair Pair) (faulty uint64, maxArrivalPS float64) {
 		// stage inputs to the current ones.
 		//teva:allow hotalloc -- reviewed: Runner dispatch picks FastSim/Exact; both are steady-state alloc-free (AllocsPerRun tests)
 		sample := a.timing[ci].Run(a.prevIn[ci], faultyIn, inputArrival, deadline)
-		if sample.WorstArrival > maxArrivalPS {
-			maxArrivalPS = sample.WorstArrival
-		}
 		// The sample is only valid until the engine's next Run; copy the
 		// captured outputs into this cycle's reusable buffer before the
 		// next stage overwrites them.
@@ -479,7 +437,7 @@ func (a *Analyzer) faultyStep(pair Pair) (faulty uint64, maxArrivalPS float64) {
 		copy(a.prevIn[ci], faultyIn)
 		faultyIn = a.curOut[ci]
 	}
-	return logicsim.UnpackOutputs(faultyIn, 0, a.p.Op.ResultWidth()), maxArrivalPS
+	return logicsim.UnpackOutputs(faultyIn, 0, a.p.Op.ResultWidth())
 }
 
 // packInputs builds the rank-0 input vector into the reusable a.inBuf.
@@ -550,20 +508,7 @@ func (a *Analyzer) setState(src []uint64) {
 	a.haveHot = true
 }
 
-// AnalyzeStream runs DTA over a stream of operand pairs, sharding across
-// workers. Records are identical for any worker count (see
-// AnalyzeStreamCtx for the shard handoff that guarantees it). Results are
-// returned in input order.
-func AnalyzeStream(f *fpu.FPU, op fpu.Op, model vscale.Model, level vscale.VRLevel, exact bool, pairs []Pair, workers int) []Record {
-	return AnalyzeStreamAt(f, op, model.ScaleFor(level), exact, pairs, workers)
-}
-
-// AnalyzeStreamAt is AnalyzeStream at an arbitrary delay-scale factor.
-func AnalyzeStreamAt(f *fpu.FPU, op fpu.Op, scale float64, exact bool, pairs []Pair, workers int) []Record {
-	return AnalyzeStreamObs(f, op, scale, engineFor(exact), pairs, workers, nil)
-}
-
-// Metric names published by AnalyzeStreamObs. A "cycle" here is one
+// Metric names published by AnalyzeStream. A "cycle" here is one
 // expanded pipeline cycle (stage repeats included): instructions ×
 // sum(Repeat) over the op's stages.
 const (
@@ -574,19 +519,9 @@ const (
 	MetricShards      = "dta.shards"
 	// MetricShardReruns counts shards re-analyzed serially because their
 	// speculative warm-up state differed from the preceding shard's true
-	// end state (see AnalyzeStreamCtx).
+	// end state (see AnalyzeStream).
 	MetricShardReruns = "dta.shard_reruns"
 )
-
-// AnalyzeStreamObs is AnalyzeStreamAt with metrics: pairs/cycles analyzed,
-// endpoint (output-mask) violations, and shard fan-out are accumulated on
-// m. All counts are pure functions of the inputs — worker scheduling
-// cannot change them — so snapshots stay deterministic. A nil registry
-// records nothing.
-func AnalyzeStreamObs(f *fpu.FPU, op fpu.Op, scale float64, eng Engine, pairs []Pair, workers int, m *obs.Registry) []Record {
-	records, _ := AnalyzeStreamCtx(context.Background(), f, op, scale, eng, pairs, workers, m)
-	return records
-}
 
 // warmDepth is how many preceding pairs a shard warms on before its
 // first pair. One pair makes the transition into pairs[lo] exact at
@@ -604,12 +539,17 @@ const warmDepth = 3
 // gate-level walk.
 const cancelChunk = 256
 
-// AnalyzeStreamCtx is AnalyzeStreamObs with cooperative cancellation:
-// every shard checks ctx between cancelChunk-sized batches and abandons
-// the remainder once ctx is done. On cancellation the partially filled
-// records are returned alongside ctx.Err(); metrics are published only
-// for runs that complete, so interrupted runs cannot skew deterministic
-// snapshots.
+// AnalyzeStream runs DTA over a stream of operand pairs at a delay-scale
+// factor, sharding across workers (<= 0: GOMAXPROCS), and returns the
+// records in input order. Every shard checks ctx between
+// cancelChunk-sized batches and abandons the remainder once ctx is done;
+// on cancellation the partially filled records are returned alongside
+// ctx.Err().
+//
+// Pairs/cycles analyzed, endpoint (output-mask) violations and shard
+// fan-out are accumulated on m, only for runs that complete. All counts
+// are pure functions of the inputs — worker scheduling cannot change
+// them — so snapshots stay deterministic. A nil registry records nothing.
 //
 // Pipeline history couples consecutive pairs, so sharding is a
 // speculation checked after the fact. Every shard but the first warms a
@@ -623,7 +563,7 @@ const cancelChunk = 256
 // the true state (and its end state updated before the next boundary).
 // The records are therefore exactly the serial ones for any worker
 // count.
-func AnalyzeStreamCtx(ctx context.Context, f *fpu.FPU, op fpu.Op, scale float64, eng Engine, pairs []Pair, workers int, m *obs.Registry) ([]Record, error) {
+func AnalyzeStream(ctx context.Context, f *fpu.FPU, op fpu.Op, scale float64, eng Engine, pairs []Pair, workers int, m *obs.Registry) ([]Record, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

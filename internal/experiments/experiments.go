@@ -214,7 +214,7 @@ func (e *Env) WASummaries(level vscale.VRLevel, w *workloads.Workload) (map[fpu.
 		if err != nil {
 			return nil, err
 		}
-		return e.F.WorkloadSummariesCtx(e.ctx, level, tr)
+		return e.F.WorkloadSummaries(e.ctx, level, tr)
 	})
 }
 
@@ -233,21 +233,16 @@ func (e *Env) DAModel(level vscale.VRLevel) (*errmodel.DAModel, error) {
 			}
 			trs = append(trs, tr)
 		}
-		return e.F.DevelopDACtx(e.ctx, level, trs)
+		return e.F.DevelopDA(e.ctx, level, trs)
 	})
 }
 
-// IAModel returns (building once) the instruction-aware model at a level.
-func (e *Env) IAModel(level vscale.VRLevel) *errmodel.IAModel {
-	m, _ := e.IAModelErr(level)
-	return m
-}
-
-// IAModelErr is IAModel with the build error (a canceled or panicking
-// characterization) surfaced instead of swallowed.
+// IAModelErr returns (building once) the instruction-aware model at a
+// level, with the build error (a canceled or panicking characterization)
+// surfaced.
 func (e *Env) IAModelErr(level vscale.VRLevel) (*errmodel.IAModel, error) {
 	return e.iaBy.do(level.Name, func() (*errmodel.IAModel, error) {
-		return e.F.DevelopIACtx(e.ctx, level)
+		return e.F.DevelopIA(e.ctx, level)
 	})
 }
 
@@ -305,7 +300,7 @@ func (e *Env) CellCtx(ctx context.Context, w *workloads.Workload, kind errmodel.
 		// statistical discipline. Cancellation discards the cell entirely
 		// (campaign.Run never returns partial results), so the store below
 		// only ever sees complete cells.
-		r, err := e.F.EvaluateSingleCtx(ctx, w, m, e.Opts.Runs)
+		r, err := e.F.EvaluateSingle(ctx, w, m, e.Opts.Runs)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"os"
 	"path/filepath"
@@ -409,7 +410,7 @@ func TestFixedHistoryMatchesWarmLoop(t *testing.T) {
 		for _, level := range []vscale.VRLevel{vscale.VR15, vscale.VR20} {
 			scale := testEnv.F.Volt.ScaleFor(level)
 			for _, eng := range []dta.Engine{dta.EngineWide, dta.EngineFast, dta.EngineExact} {
-				a := dta.NewEngineAt(f, op, scale, eng)
+				a := dta.New(f, op, scale, eng)
 				a.Warm(fixedHistoryRef)
 				once := a.AppendState(nil)
 				a.Warm(fixedHistoryRef)
@@ -419,13 +420,16 @@ func TestFixedHistoryMatchesWarmLoop(t *testing.T) {
 			}
 
 			oracle := make([]dta.Record, len(pairs))
-			a := dta.NewEngineAt(f, op, scale, dta.EngineWide)
+			a := dta.New(f, op, scale, dta.EngineWide)
 			for i, p := range pairs {
 				a.Warm(fixedHistoryRef)
 				oracle[i] = a.Analyze(p)
 			}
 			for _, workers := range []int{1, 2, 64} {
-				got := fixedHistoryRecords(f, op, scale, dta.EngineWide, pairs, workers)
+				got, err := fixedHistoryRecords(context.Background(), f, op, scale, dta.EngineWide, pairs, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if len(got) != len(oracle) {
 					t.Fatalf("%s %s workers=%d: %d records, want %d", op, level.Name, workers, len(got), len(oracle))
 				}

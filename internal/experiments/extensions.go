@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -63,10 +64,12 @@ func Sources(e *Env) ([]SourceRow, error) {
 	var rows []SourceRow
 	for _, c := range corners {
 		scale := m.Scale(c.sc)
-		sum := e.cachedSummary("sources/"+c.name, fpu.DMul, scale, len(pairs), func() *dta.Summary {
-			recs := dta.AnalyzeStreamObs(e.F.FPU, fpu.DMul, scale, e.F.Cfg.Timing, pairs, e.F.Cfg.Workers, nil)
-			return dta.Summarize(fpu.DMul, recs)
+		sum, err := e.cachedSummary("sources/"+c.name, fpu.DMul, scale, len(pairs), func() (*dta.Summary, error) {
+			return e.summarize(e.F.FPU, fpu.DMul, scale, pairs)
 		})
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, SourceRow{
 			Name:  c.name,
 			Scale: scale,
@@ -168,13 +171,22 @@ func HistoryAblation(e *Env, level vscale.VRLevel) ([]HistoryRow, error) {
 			pairs[i] = dta.Pair{A: src.Uint64(), B: src.Uint64()}
 		}
 		scale := e.F.Volt.ScaleFor(level)
-		with := e.cachedSummary("history/with/"+level.Name, op, scale, n, func() *dta.Summary {
-			recs := dta.AnalyzeStreamObs(e.F.FPU, op, scale, e.F.Cfg.Timing, pairs, e.F.Cfg.Workers, nil)
-			return dta.Summarize(op, recs)
+		with, err := e.cachedSummary("history/with/"+level.Name, op, scale, n, func() (*dta.Summary, error) {
+			return e.summarize(e.F.FPU, op, scale, pairs)
 		})
-		fixed := e.cachedSummary("history/fixed/"+level.Name, op, scale, n, func() *dta.Summary {
-			return dta.Summarize(op, fixedHistoryRecords(e.F.FPU, op, scale, e.F.Cfg.Timing, pairs, e.F.Cfg.Workers))
+		if err != nil {
+			return nil, err
+		}
+		fixed, err := e.cachedSummary("history/fixed/"+level.Name, op, scale, n, func() (*dta.Summary, error) {
+			recs, err := fixedHistoryRecords(e.ctx, e.F.FPU, op, scale, e.F.Cfg.Timing, pairs, e.F.Cfg.Workers)
+			if err != nil {
+				return nil, err
+			}
+			return dta.Summarize(op, recs), nil
 		})
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, HistoryRow{
 			Op:           op,
 			WithHistory:  with.ErrorRatio(),
@@ -196,16 +208,19 @@ var fixedHistoryRef = dta.Pair{A: 0x3FF0000000000000, B: 0x3FF0000000000000}
 // before p0 that a Warm(ref)+Analyze(p) loop would not take; from the
 // state cold→ref leaves, ref→ref returns the same state
 // (TestFixedHistoryMatchesWarmLoop), so the records are the loop's.
-func fixedHistoryRecords(f *fpu.FPU, op fpu.Op, scale float64, eng dta.Engine, pairs []dta.Pair, workers int) []dta.Record {
+func fixedHistoryRecords(ctx context.Context, f *fpu.FPU, op fpu.Op, scale float64, eng dta.Engine, pairs []dta.Pair, workers int) ([]dta.Record, error) {
 	stream := make([]dta.Pair, 0, 2*len(pairs))
 	for _, p := range pairs {
 		stream = append(stream, fixedHistoryRef, p)
 	}
-	recs := dta.AnalyzeStreamObs(f, op, scale, eng, stream, workers, nil)
+	recs, err := dta.AnalyzeStream(ctx, f, op, scale, eng, stream, workers, nil)
+	if err != nil {
+		return nil, err
+	}
 	for i := range pairs {
 		recs[i] = recs[2*i+1]
 	}
-	return recs[:len(pairs)]
+	return recs[:len(pairs)], nil
 }
 
 // RenderHistory prints the ablation.
@@ -245,12 +260,13 @@ func ProcessVariation(e *Env, dies int, sigma float64) (*ProcessResult, error) {
 	res := &ProcessResult{Sigma: sigma}
 	for die := 0; die < dies; die++ {
 		die := die
-		sum := e.cachedSummary(fmt.Sprintf("process/sigma%g/die%d", sigma, die),
-			fpu.DMul, scale, n, func() *dta.Summary {
-				f := e.F.FPU.Vary(sigma, uint64(die)+1)
-				recs := dta.AnalyzeStreamObs(f, fpu.DMul, scale, e.F.Cfg.Timing, pairs, e.F.Cfg.Workers, nil)
-				return dta.Summarize(fpu.DMul, recs)
+		sum, err := e.cachedSummary(fmt.Sprintf("process/sigma%g/die%d", sigma, die),
+			fpu.DMul, scale, n, func() (*dta.Summary, error) {
+				return e.summarize(e.F.FPU.Vary(sigma, uint64(die)+1), fpu.DMul, scale, pairs)
 			})
+		if err != nil {
+			return nil, err
+		}
 		res.ERs = append(res.ERs, sum.ErrorRatio())
 	}
 	sort.Float64s(res.ERs)
@@ -317,11 +333,13 @@ func Validate(e *Env, level vscale.VRLevel) ([]ValidationRow, float64, error) {
 				pairs[i] = pool[src.Intn(len(pool))]
 			}
 			op := op
-			sum := e.cachedSummary("validate/"+level.Name+"/"+w.Name, op,
-				e.F.Volt.ScaleFor(level), n, func() *dta.Summary {
-					recs := dta.AnalyzeStreamObs(e.F.FPU, op, e.F.Volt.ScaleFor(level), e.F.Cfg.Timing, pairs, e.F.Cfg.Workers, nil)
-					return dta.Summarize(op, recs)
-				})
+			scale := e.F.Volt.ScaleFor(level)
+			sum, err := e.cachedSummary("validate/"+level.Name+"/"+w.Name, op, scale, n, func() (*dta.Summary, error) {
+				return e.summarize(e.F.FPU, op, scale, pairs)
+			})
+			if err != nil {
+				return nil, 0, err
+			}
 			obs := sum.ErrorRatio()
 			rows = append(rows, ValidationRow{Workload: w.Name, Op: op, Predicted: pred, Observed: obs})
 			if pred > 0 {

@@ -219,7 +219,7 @@ func ExecuteUnit(ctx context.Context, e *Env, u shard.Unit) (string, error) {
 		if u.Op < 0 || u.Op >= int(fpu.NumOps) {
 			return "", fmt.Errorf("unit %s: op ordinal %d out of range", u.ID(), u.Op)
 		}
-		s, err := e.F.RandomSummaryOpCtx(ctx, level, fpu.Op(u.Op))
+		s, err := e.F.RandomSummaryOp(ctx, level, fpu.Op(u.Op))
 		if err != nil {
 			return "", err
 		}

@@ -23,8 +23,8 @@ import (
 //     assigned from it, and context.With* over a derived context —
 //     including the ctx, cancel := context.WithCancel(ctx) form).
 //  3. Calling a module function that transitively defaults to
-//     context.Background() — core.EvaluateSingle-style ctx-less wrappers
-//     — without handing it the context through any argument (spec
+//     context.Background() — a ctx-less wrapper that only calls its
+//     ctx-taking twin with context.Background() — without handing it the context through any argument (spec
 //     structs like campaign.Spec{Context: ctx} count) is flagged with
 //     the defaulting chain as witness.
 func CtxFlow() *Analyzer {

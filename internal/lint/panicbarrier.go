@@ -11,10 +11,9 @@ import (
 // launched through guard.Go, whose recover barrier converts a worker
 // panic into an error labeled with the work's identity. A raw goroutine
 // that panics instead kills the whole process mid-matrix — exactly the
-// failure mode the fault-tolerant pipeline exists to prevent. The STA
-// level workers are under the same rule: a panic in a level chunk must
-// surface as the analysis's own panic after the join, not as a process
-// abort from an anonymous goroutine.
+// failure mode the fault-tolerant pipeline exists to prevent. STA runs
+// serially and starts no goroutine; it stays listed so any future fan-out
+// there is held to the same rule.
 func PanicBarrier() *Analyzer {
 	return &Analyzer{
 		Name: "panicbarrier",
