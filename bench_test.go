@@ -225,28 +225,12 @@ func BenchmarkAVMAnalysis(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Component benchmarks
 
-// BenchmarkTimingSimFast measures the levelized timing engine on the
+// BenchmarkTimingSimExact measures the event-driven engine on the
 // multiplier CPA stage (the design's critical stage).
-func BenchmarkTimingSimFast(b *testing.B) {
-	benchTimingSim(b, false)
-}
-
-// BenchmarkTimingSimExact measures the event-driven engine on the same
-// stage.
 func BenchmarkTimingSimExact(b *testing.B) {
-	benchTimingSim(b, true)
-}
-
-func benchTimingSim(b *testing.B, exact bool) {
 	e := benchEnv(b)
-	p := e.F.FPU.Pipeline(fpu.DMul)
-	stage := p.Stages[3].N // s4-cpa
-	var sim timingsim.Runner
-	if exact {
-		sim = timingsim.NewExact(stage.Compiled(), 1.256)
-	} else {
-		sim = timingsim.NewFast(stage.Compiled(), 1.256)
-	}
+	stage := e.F.FPU.Pipeline(fpu.DMul).Stages[3].N // s4-cpa
+	sim := timingsim.NewExact(stage.Compiled(), 1.256)
 	src := prng.New(7)
 	prev := make([]bool, len(stage.Inputs()))
 	cur := make([]bool, len(stage.Inputs()))

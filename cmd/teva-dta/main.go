@@ -33,8 +33,7 @@ func main() {
 	out := flag.String("o", "", "output model file (default stdout)")
 	operands := flag.Int("operands", 0, "DTA operands per instruction type (0: default)")
 	seed := flag.Uint64("seed", 0xF00D, "master seed")
-	exact := flag.Bool("exact", false, "use the event-driven timing engine (slow, reference; same as -timing exact)")
-	timing := flag.String("timing", "", "timing engine: wide (default), fast, exact")
+	timing := flag.String("timing", "wide", "timing engine: wide (64-lane levelized, default), exact (event-driven, slow)")
 	staScreen := flag.Bool("sta-screen", false, "skip dense DTA for ops whose worst STA slack clears the guardband")
 	screenGuardband := flag.Float64("screen-guardband", 0, "minimum positive slack in ps an op must clear to be screened (with -sta-screen)")
 	screenValidate := flag.Bool("screen-validate", false, "with -sta-screen: still simulate screened ops and fail on any disagreement")
@@ -48,14 +47,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	eng := dta.EngineWide
-	if *exact {
-		eng = dta.EngineExact
-	}
-	if *timing != "" {
-		if eng, err = dta.ParseEngine(*timing); err != nil {
-			fatal(err)
-		}
+	eng, err := dta.ParseEngine(*timing)
+	if err != nil {
+		fatal(err)
 	}
 	f, err := core.New(core.Config{
 		Seed:             *seed,

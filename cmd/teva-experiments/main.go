@@ -85,7 +85,7 @@ func main() {
 	pprofCPU := flag.String("pprof-cpu", "", "write a CPU profile to this file")
 	pprofMem := flag.String("pprof-mem", "", "write a heap profile to this file on exit")
 	maxDuration := flag.Duration("max-duration", 0, "wall-clock budget; when exceeded, in-flight work is canceled and the run exits 124 (0: unlimited)")
-	timing := flag.String("timing", "wide", "DTA timing engine: wide (64-lane, default), fast (scalar reference), exact (event-driven, slow)")
+	timing := flag.String("timing", "wide", "DTA timing engine: wide (64-lane levelized, default), exact (event-driven, slow)")
 	cornerSpec := flag.String("corners", "", "corners for the multi-corner STA sweep: named corners (nominal, VR15, VR20) and/or supply voltages in volts, comma-separated (default: nominal,VR15,VR20)")
 	staScreen := flag.Bool("sta-screen", false, "skip dense DTA for ops whose worst STA slack clears the guardband (screened ops are reported error-free)")
 	screenGuardband := flag.Float64("screen-guardband", 0, "minimum positive slack in ps an op must clear to be screened (with -sta-screen)")

@@ -53,10 +53,9 @@ type Config struct {
 	// as Timeout, so cells from different factors must never alias.
 	TimeoutFactor float64
 	// Timing selects the reduced-voltage timing engine. The zero value is
-	// dta.EngineWide (64-lane levelized, the fastest); dta.EngineFast and
-	// dta.EngineExact are the scalar reference engines. Wide and fast
-	// produce identical records, so only Exact() is folded into artifact
-	// cache keys.
+	// dta.EngineWide (64-lane levelized, the fastest); dta.EngineExact is
+	// the event-driven glitch-accurate reference. Exact() is folded into
+	// artifact cache keys.
 	Timing dta.Engine
 	// Artifacts, when non-nil, persists DTA characterization summaries
 	// across runs: a second run with the same seed and sample sizes

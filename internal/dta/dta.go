@@ -45,31 +45,27 @@ func (r Record) Erroneous() bool { return r.Mask != 0 }
 // Pair is one operand pair for the analyzed instruction type.
 type Pair struct{ A, B uint64 }
 
-// Engine selects the reduced-voltage timing engine. The zero value is
-// EngineWide, the fastest engine; all three produce the same Records for
-// chain/levelized semantics (Wide is bit-exact against Fast by
-// construction, and differential tests enforce it), so the choice is a
-// speed/fidelity knob, not a correctness one.
+// Engine selects the reduced-voltage timing engine, one per timing
+// semantic. The zero value is EngineWide, the levelized old-value
+// semantic; EngineExact is the glitch-accurate one. The choice is a
+// speed/fidelity knob: the two agree on chain topologies and approximate
+// each other elsewhere.
 type Engine uint8
 
 const (
-	// EngineWide is the 64-lane levelized engine: one circuit walk per
-	// pipeline cycle times up to 64 consecutive instructions. Bit-exact
-	// against EngineFast; the default.
+	// EngineWide is the 64-lane levelized engine (timingsim.WideFastSim):
+	// one circuit walk per pipeline cycle times up to 64 consecutive
+	// instructions. The default.
 	EngineWide Engine = iota
-	// EngineFast is the scalar levelized arrival engine (one walk per
-	// instruction), kept as the differential reference for EngineWide.
-	EngineFast
 	// EngineExact is the event-driven engine with inertial delays and
-	// glitch-accurate captures — the slow reference. Glitch handling is
-	// inherently serial (event order couples lanes), so it has no wide
-	// variant.
+	// glitch-accurate captures (timingsim.ExactSim) — the slow reference.
+	// Glitch handling is inherently serial (event order couples lanes),
+	// so it runs one instruction per walk.
 	EngineExact
 )
 
 var engineNames = map[Engine]string{
 	EngineWide:  "wide",
-	EngineFast:  "fast",
 	EngineExact: "exact",
 }
 
@@ -81,19 +77,18 @@ func (e Engine) String() string {
 }
 
 // Exact reports whether the engine models glitch-accurate captures. It is
-// also the provenance bit for cached DTA summaries: wide and fast produce
-// identical records, so they share cache entries.
+// also the provenance bit for cached DTA summaries, one value per timing
+// semantic.
 func (e Engine) Exact() bool { return e == EngineExact }
 
-// ParseEngine maps a CLI flag value ("wide", "fast", "exact") to an
-// Engine.
+// ParseEngine maps a CLI flag value ("wide", "exact") to an Engine.
 func ParseEngine(s string) (Engine, error) {
 	for e, n := range engineNames {
 		if n == s {
 			return e, nil
 		}
 	}
-	return EngineWide, fmt.Errorf("dta: unknown timing engine %q (wide, fast, exact)", s)
+	return EngineWide, fmt.Errorf("dta: unknown timing engine %q (wide, exact)", s)
 }
 
 // Analyzer runs DTA for one instruction type at one voltage corner.
@@ -109,7 +104,7 @@ type Analyzer struct {
 	golden  []*logicsim.WideSim
 	stages  []*fpu.Stage
 	wordBuf [][]uint64 // 64-lane words per cycle boundary (golden + wide faulty)
-	// Scalar faulty path (EngineFast, EngineExact). All buffers are
+	// Scalar faulty path (EngineExact). All buffers are
 	// preallocated: one undervolted instruction allocates nothing.
 	timing []timingsim.Runner
 	prevIn [][]bool // faulty-domain previous input per expanded cycle
@@ -183,11 +178,7 @@ func New(f *fpu.FPU, op fpu.Op, scale float64, eng Engine) *Analyzer {
 			for r := 0; r < s.Repeat; r++ {
 				a.stages = append(a.stages, s)
 				a.golden = append(a.golden, gByStage[s])
-				if eng == EngineExact {
-					a.timing = append(a.timing, timingsim.NewExact(c, scale))
-				} else {
-					a.timing = append(a.timing, timingsim.NewFast(c, scale))
-				}
+				a.timing = append(a.timing, timingsim.NewExact(c, scale))
 				a.prevIn = append(a.prevIn, make([]bool, ins))
 				a.curOut = append(a.curOut, make([]bool, len(s.N.Outputs())))
 				a.wordBuf = append(a.wordBuf, make([]uint64, ins))
@@ -205,9 +196,9 @@ func New(f *fpu.FPU, op fpu.Op, scale float64, eng Engine) *Analyzer {
 }
 
 // Reset returns the analyzer to its just-constructed state: cold history,
-// zero lane-shift carries, zero scalar previous-input vectors. A reset
-// analyzer produces byte-identical records to a freshly built one, which
-// is what lets AnalyzeStream pool analyzers across calls.
+// zero lane-shift carries, zero exact-engine previous-input vectors. A
+// reset analyzer produces byte-identical records to a freshly built one,
+// which is what lets AnalyzeStream pool analyzers across calls.
 func (a *Analyzer) Reset() {
 	a.haveHot = false
 	for _, c := range a.carry {
@@ -378,30 +369,19 @@ func (a *Analyzer) goldenBatch(pairs []Pair, recs []Record) {
 // undervolted domain with one wide walk per pipeline cycle, filling
 // recs[i].Faulty. The transition history is the exact serial one: lane
 // L's previous stage input is lane L-1's current one (the preceding
-// instruction), realized by shifting each cycle's input words up one
-// lane with a.carry supplying lane 0 across batch boundaries. Lanes past
-// len(pairs) are forced transition-free so a short batch costs (and
-// records) nothing extra.
+// instruction), realized by timingsim.ShiftLanes with a.carry supplying
+// lane 0 across batch boundaries. Lanes past len(pairs) are forced
+// transition-free so a short batch costs (and records) nothing extra.
 func (a *Analyzer) faultyBatch(pairs []Pair, recs []Record) {
 	a.haveHot = true
 	n := len(pairs)
 	lib := a.stages[0].N.Lib
 	inputArrival := lib.ClockToQ * a.scale
 	deadline := a.clk - lib.Setup*a.scale
-	active := ^uint64(0) >> uint(64-n)
 	for ci := range a.stages {
 		cur := a.wordBuf[ci]
 		prev := a.widePrev[:len(cur)]
-		carry := a.carry[ci]
-		for j, cw := range cur {
-			pw := cw<<1 | carry[j]
-			// Inactive lanes adopt their previous value: no transition,
-			// no toggles, no arrival work.
-			cw = cw&active | pw&^active
-			cur[j] = cw
-			prev[j] = pw
-			carry[j] = cw >> uint(n-1) & 1
-		}
+		timingsim.ShiftLanes(prev, cur, a.carry[ci], n)
 		sm := a.wtiming[ci].Run(prev, cur, inputArrival, deadline)
 		// Erroneously captured values feed the next stage, lane by lane.
 		copy(a.wordBuf[ci+1], sm.Captured)
@@ -417,7 +397,7 @@ func (a *Analyzer) faultyBatch(pairs []Pair, recs []Record) {
 }
 
 // faultyStep executes one instruction in the undervolted domain on a
-// scalar engine, returning the captured result encoding.
+// scalar (exact) engine, returning the captured result encoding.
 func (a *Analyzer) faultyStep(pair Pair) uint64 {
 	a.haveHot = true
 	lib := a.stages[0].N.Lib
@@ -428,7 +408,7 @@ func (a *Analyzer) faultyStep(pair Pair) uint64 {
 	for ci := range a.stages {
 		// Timing simulation from the previous cycle's (faulty-domain)
 		// stage inputs to the current ones.
-		//teva:allow hotalloc -- reviewed: Runner dispatch picks FastSim/Exact; both are steady-state alloc-free (AllocsPerRun tests)
+		//teva:allow hotalloc -- reviewed: Runner dispatch reaches ExactSim.Run, steady-state alloc-free (AllocsPerRun tests)
 		sample := a.timing[ci].Run(a.prevIn[ci], faultyIn, inputArrival, deadline)
 		// The sample is only valid until the engine's next Run; copy the
 		// captured outputs into this cycle's reusable buffer before the
@@ -455,7 +435,7 @@ func (a *Analyzer) packInputs(pair Pair) []bool {
 
 // AppendState appends the analyzer's cross-instruction state to dst as
 // packed bits: every expanded cycle's previous stage input (the wide
-// engine's lane-0 carries, the scalar engines' prevIn vectors), which is
+// engine's lane-0 carries, the exact engine's prevIn vectors), which is
 // all an instruction's records depend on besides its own operands. Two
 // hot analyzers with equal states produce identical records for any
 // continuation of the stream.

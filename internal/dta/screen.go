@@ -10,7 +10,7 @@ import (
 // only when some stage's dynamic arrival exceeds the capture deadline
 // CLK - Setup*s. Every dynamic arrival is bounded by the static worst
 // case: arrival + Setup*s <= s * WorstDelay(nominal STA) — the invariant
-// the sta package's differential tests pin against both scalar engines.
+// the sta package's differential tests pin against both timing engines.
 // So when the scaled static worst delay of every stage of an op's
 // pipeline still fits the clock with margin to spare,
 //

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/csv"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -409,7 +410,7 @@ func TestFixedHistoryMatchesWarmLoop(t *testing.T) {
 		}
 		for _, level := range []vscale.VRLevel{vscale.VR15, vscale.VR20} {
 			scale := testEnv.F.Volt.ScaleFor(level)
-			for _, eng := range []dta.Engine{dta.EngineWide, dta.EngineFast, dta.EngineExact} {
+			for _, eng := range []dta.Engine{dta.EngineWide, dta.EngineExact} {
 				a := dta.New(f, op, scale, eng)
 				a.Warm(fixedHistoryRef)
 				once := a.AppendState(nil)
@@ -633,5 +634,38 @@ func TestAdderAblation(t *testing.T) {
 	RenderAdders(&buf, rows)
 	if !strings.Contains(buf.String(), "hybrid") {
 		t.Fatal("render incomplete")
+	}
+}
+
+// TestAdderAblationBitPins pins every AdderRow field bit for bit at the
+// test Env's configuration (2000 operands: 31 full 64-lane walks and a
+// 16-lane tail). The values were recorded with a
+// one-transition-per-walk scalar levelized engine, so they hold the
+// batched walk to the serial transition history and summation order.
+func TestAdderAblationBitPins(t *testing.T) {
+	rows, err := AdderAblation(testEnv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins := []struct {
+		name                             string
+		gates                            int
+		staPS, meanArr, maxArr, failAt85 uint64
+	}{
+		{"ripple", 112, 0x40a2ccc4ffedf778, 0x40799b20eb2bc564, 0x408f41f1255560df, 0x0000000000000000},
+		{"hybrid-8", 383, 0x4091c4ad728d4699, 0x407dcd398d90f89b, 0x40871ba53ab6672d, 0x0000000000000000},
+		{"hybrid-16", 386, 0x40932eb5bc0f3baa, 0x407c93f1c1936bd4, 0x408db321d3bc2444, 0x0000000000000000},
+		{"kogge-stone", 986, 0x4084f3fc5c42174e, 0x407ea57c3ed49484, 0x40826ce998754dfd, 0x3f589374bc6a7efa},
+	}
+	if len(rows) != len(pins) {
+		t.Fatalf("%d rows, want %d", len(rows), len(pins))
+	}
+	for i, pin := range pins {
+		r := rows[i]
+		got := []uint64{math.Float64bits(r.STAps), math.Float64bits(r.MeanArr), math.Float64bits(r.MaxArr), math.Float64bits(r.FailAt85)}
+		want := []uint64{pin.staPS, pin.meanArr, pin.maxArr, pin.failAt85}
+		if r.Name != pin.name || r.Gates != pin.gates || !slices.Equal(got, want) {
+			t.Errorf("row %d: got %s/%d %#016x, want %s/%d %#016x", i, r.Name, r.Gates, got, pin.name, pin.gates, want)
+		}
 	}
 }

@@ -18,20 +18,36 @@ import (
 	"teva/internal/workloads"
 )
 
+// TestForEachLimitFailsFast pins the fail-fast cancel: once task 3
+// fails, no worker may start another task. Every task past 3 blocks until
+// the cancel reaches it, so a worker runs at most one of them and no
+// scheduling can finish the matrix first: at most tasks 0-3 plus one
+// blocked task per other worker ever execute. A cancel that never
+// arrives fails the blocked tasks instead of hanging the test.
 func TestForEachLimitFailsFast(t *testing.T) {
+	const workers = 4
 	var executed atomic.Int64
-	err := forEachLimit(context.Background(), nil, 4, 1000, func(ctx context.Context, i int) error {
+	err := forEachLimit(context.Background(), nil, workers, 1000, func(ctx context.Context, i int) error {
 		executed.Add(1)
-		if i == 3 {
+		switch {
+		case i == 3:
 			return errors.New("hard failure in task 3")
+		case i > 3:
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(30 * time.Second):
+				t.Errorf("task %d: fail-fast cancel never arrived", i)
+				return fmt.Errorf("task %d: no cancel", i)
+			}
 		}
 		return nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "task 3") {
 		t.Fatalf("missing root cause: %v", err)
 	}
-	if n := executed.Load(); n >= 1000 || n > 100 {
-		t.Fatalf("fail-fast still executed %d of 1000 tasks", n)
+	if n := executed.Load(); n > workers+3 {
+		t.Fatalf("fail-fast still executed %d of 1000 tasks, want at most %d", n, workers+3)
 	}
 }
 

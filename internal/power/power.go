@@ -55,83 +55,114 @@ func Characterize(f *fpu.FPU, intU *alu.Unit, samples int, seed uint64) *Profile
 }
 
 // opEnergy runs back-to-back operations through every pipeline stage,
-// accumulating switching energy.
+// accumulating switching energy. Consecutive operations ride consecutive
+// lanes of one 64-lane walk per expanded cycle; timingsim.ShiftLanes
+// gives each the previous operation's stage input as its transition
+// source, exactly as a one-operation-at-a-time walk would.
 func opEnergy(f *fpu.FPU, op fpu.Op, samples int, src *prng.Source) float64 {
 	pipe := f.Pipeline(op)
+	w := op.OperandWidth()
 	mask := ^uint64(0)
-	if w := op.OperandWidth(); w < 64 {
+	if w < 64 {
 		mask = 1<<uint(w) - 1
 	}
-	// Per expanded cycle: a fast timing engine and the previous input.
-	var sims []*timingsim.FastSim
-	var prevs [][]bool
+	// The engines keep no state across Runs and run strictly cycle by
+	// cycle, so stage repeats share one engine per distinct stage on one
+	// scratch sized for the widest netlist. Per expanded cycle: the
+	// stage's engine, its input words and its lane-shift carry.
+	maxNets, maxIn := 0, 0
 	for _, s := range pipe.Stages {
+		maxNets = max(maxNets, s.N.Compiled().NumNets)
+		maxIn = max(maxIn, len(s.N.Inputs()))
+	}
+	ws := timingsim.NewWideScratch(maxNets)
+	var sims []*timingsim.WideFastSim
+	var words, carry [][]uint64
+	for _, s := range pipe.Stages {
+		sim := timingsim.NewWideFastShared(s.N.Compiled(), 1.0, ws)
 		for r := 0; r < s.Repeat; r++ {
-			sims = append(sims, timingsim.NewFast(s.N.Compiled(), 1.0))
-			prevs = append(prevs, make([]bool, len(s.N.Inputs())))
+			sims = append(sims, sim)
+			words = append(words, make([]uint64, len(s.N.Inputs())))
+			carry = append(carry, make([]uint64, len(s.N.Inputs())))
 		}
 	}
+	prev := make([]uint64, maxIn)
 	var total float64
 	var counted int
-	for i := 0; i < samples; i++ {
-		a, b := src.Uint64()&mask, src.Uint64()&mask
-		in := packOperands(pipe, a, b)
-		ci := 0
-		var opEnergy float64
-		for _, s := range pipe.Stages {
-			for r := 0; r < s.Repeat; r++ {
-				sample := sims[ci].Run(prevs[ci], in, 0, timingsim.MaxDeadline)
-				opEnergy += sample.EnergyFJ
-				copy(prevs[ci], in)
-				in = append([]bool(nil), sample.Settled...)
-				ci++
+	for lo := 0; lo < samples; lo += 64 {
+		n := min(64, samples-lo)
+		var rowsA, rowsB [64]uint64
+		for lane := 0; lane < n; lane++ {
+			rowsA[lane], rowsB[lane] = src.Uint64()&mask, src.Uint64()&mask
+		}
+		// Rank-0 input words: operand A's bits, then B's, then zeros.
+		in := words[0]
+		clear(in)
+		logicsim.Transpose64(&rowsA)
+		copy(in[:w], rowsA[:w])
+		if op.NumOperands() == 2 {
+			logicsim.Transpose64(&rowsB)
+			copy(in[w:2*w], rowsB[:w])
+		}
+		var opEnergy [64]float64
+		for ci, sim := range sims {
+			cur := words[ci]
+			timingsim.ShiftLanes(prev, cur, carry[ci], n)
+			sm := sim.Run(prev[:len(cur)], cur, 0, timingsim.MaxDeadline)
+			for lane := 0; lane < n; lane++ {
+				opEnergy[lane] += sm.EnergyFJ[lane]
+			}
+			if ci+1 < len(sims) {
+				copy(words[ci+1], sm.Settled)
 			}
 		}
-		if i > 0 { // the first op warms the pipeline from the zero state
-			total += opEnergy
-			counted++
+		for lane := 0; lane < n; lane++ {
+			if lo+lane > 0 { // the first op warms the pipeline from the zero state
+				total += opEnergy[lane]
+				counted++
+			}
 		}
 	}
 	return total / float64(counted)
 }
 
-// packOperands builds the rank-0 input vector for a pipeline.
-func packOperands(p *fpu.Pipeline, a, b uint64) []bool {
-	op := p.Op
-	in := make([]bool, len(p.Stages[0].N.Inputs()))
-	w := op.OperandWidth()
-	logicsim.PackInputs(in, 0, w, a)
-	if op.NumOperands() == 2 {
-		logicsim.PackInputs(in, w, w, b)
-	}
-	return in
-}
-
 // intEnergy measures the integer side: an ALU add plus an AGU add per
-// operation (the dominant per-instruction switching of the core model).
+// operation (the dominant per-instruction switching of the core model),
+// 64 consecutive operations per walk as in opEnergy.
 func intEnergy(u *alu.Unit, samples int, src *prng.Source) float64 {
-	aluSim := timingsim.NewFast(u.ALU.Compiled(), 1.0)
-	aguSim := timingsim.NewFast(u.AGU.Compiled(), 1.0)
-	aluPrev := make([]bool, len(u.ALU.Inputs()))
-	aguPrev := make([]bool, len(u.AGU.Inputs()))
+	aluSim := timingsim.NewWideFast(u.ALU.Compiled(), 1.0)
+	aguSim := timingsim.NewWideFast(u.AGU.Compiled(), 1.0)
+	nALU, nAGU := len(u.ALU.Inputs()), len(u.AGU.Inputs())
+	aluIn, aluPrev, aluCarry := make([]uint64, nALU), make([]uint64, nALU), make([]uint64, nALU)
+	aguIn, aguPrev, aguCarry := make([]uint64, nAGU), make([]uint64, nAGU), make([]uint64, nAGU)
 	var total float64
 	var counted int
-	for i := 0; i < samples; i++ {
-		aluIn := make([]bool, len(aluPrev))
-		for j := 0; j < 64; j++ { // operands only; function code stays add
-			aluIn[j] = src.Bool()
+	for lo := 0; lo < samples; lo += 64 {
+		n := min(64, samples-lo)
+		clear(aluIn)
+		clear(aguIn)
+		for lane := 0; lane < n; lane++ {
+			bit := uint64(1) << uint(lane)
+			for j := 0; j < 64; j++ { // operands only; function code stays add
+				if src.Bool() {
+					aluIn[j] |= bit
+				}
+			}
+			for j := range aguIn {
+				if src.Bool() {
+					aguIn[j] |= bit
+				}
+			}
 		}
-		aguIn := make([]bool, len(aguPrev))
-		for j := range aguIn {
-			aguIn[j] = src.Bool()
-		}
-		e := aluSim.Run(aluPrev, aluIn, 0, timingsim.MaxDeadline).EnergyFJ
-		e += aguSim.Run(aguPrev, aguIn, 0, timingsim.MaxDeadline).EnergyFJ
-		copy(aluPrev, aluIn)
-		copy(aguPrev, aguIn)
-		if i > 0 {
-			total += e
-			counted++
+		timingsim.ShiftLanes(aluPrev, aluIn, aluCarry, n)
+		timingsim.ShiftLanes(aguPrev, aguIn, aguCarry, n)
+		aluE := aluSim.Run(aluPrev, aluIn, 0, timingsim.MaxDeadline).EnergyFJ
+		aguE := aguSim.Run(aguPrev, aguIn, 0, timingsim.MaxDeadline).EnergyFJ
+		for lane := 0; lane < n; lane++ {
+			if lo+lane > 0 {
+				total += aluE[lane] + aguE[lane]
+				counted++
+			}
 		}
 	}
 	return total / float64(counted)

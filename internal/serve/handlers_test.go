@@ -73,6 +73,7 @@ func TestHandlersBadSpec400(t *testing.T) {
 	for _, body := range []string{
 		`{"experiments": ["bogus"]}`,
 		`{"timing": "turbo"}`,
+		`{"timing": "fast"}`,
 		`{"timeout_factor": -3}`,
 		`{nope`,
 	} {

@@ -54,7 +54,7 @@ type Spec struct {
 	// Workers bounds the job's parallelism (0: all cores). Not part of
 	// the dedupe key — results are worker-count invariant.
 	Workers int `json:"workers,omitempty"`
-	// Timing selects the DTA engine: wide, fast, exact ("": wide).
+	// Timing selects the DTA engine: wide, exact ("": wide).
 	Timing string `json:"timing,omitempty"`
 	// Corners is the -corners sweep spec ("": the default set).
 	Corners string `json:"corners,omitempty"`

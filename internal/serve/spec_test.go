@@ -83,6 +83,7 @@ func TestDecodeSpecRejects(t *testing.T) {
 		{"wrong matrix type", `{"experiments": "fig7"}`, "bad spec"},
 		{"unknown experiment", `{"experiments": ["fig7", "fig77"]}`, "unknown experiment"},
 		{"unknown engine", `{"timing": "turbo"}`, "unknown timing engine"},
+		{"removed fast engine", `{"timing": "fast"}`, `unknown timing engine "fast" (wide, exact)`},
 		{"unknown scale", `{"scale": "huge"}`, "unknown scale"},
 		{"bad corners", `{"corners": "nominal,not-a-voltage"}`, "corner"},
 		{"negative runs", `{"runs": -1}`, "runs"},
@@ -109,7 +110,7 @@ func TestDecodeSpecRejects(t *testing.T) {
 
 func TestDecodeSpecAccepts(t *testing.T) {
 	sp, err := DecodeSpec(strings.NewReader(
-		`{"experiments":["fig7"],"quick":true,"timing":"fast","corners":"nominal,VR20","runs":12,"max_duration":"90s"}`))
+		`{"experiments":["fig7"],"quick":true,"timing":"exact","corners":"nominal,VR20","runs":12,"max_duration":"90s"}`))
 	if err != nil {
 		t.Fatal(err)
 	}

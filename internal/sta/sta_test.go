@@ -138,24 +138,46 @@ func TestSTABoundsDynamicArrival(t *testing.T) {
 	const w = 12
 	n := adder(t, w)
 	r := sta.Analyze(n.Compiled(), clkToQ, setup)
-	fast := timingsim.NewFast(n.Compiled(), 1.0)
+	wide := timingsim.NewWideFast(n.Compiled(), 1.0)
 	exact := timingsim.NewExact(n.Compiled(), 1.0)
 	src := prng.New(55)
 	prev := make([]bool, 2*w+1)
 	cur := make([]bool, 2*w+1)
-	for trial := 0; trial < 500; trial++ {
-		for i := range prev {
-			prev[i] = src.Bool()
-			cur[i] = src.Bool()
+	prevW := make([]uint64, 2*w+1)
+	curW := make([]uint64, 2*w+1)
+	check := func(worst float64) {
+		t.Helper()
+		if worst+setup > r.WorstDelay+1e-9 {
+			t.Fatalf("dynamic arrival %v exceeds STA bound %v", worst+setup, r.WorstDelay)
 		}
-		for _, s := range []*timingsim.Sample{
-			fast.Run(prev, cur, clkToQ, timingsim.MaxDeadline),
-			exact.Run(prev, cur, clkToQ, timingsim.MaxDeadline),
-		} {
-			if s.WorstArrival+setup > r.WorstDelay+1e-9 {
-				t.Fatalf("dynamic arrival %v exceeds STA bound %v",
-					s.WorstArrival+setup, r.WorstDelay)
+	}
+	// 500 trials: each is timed by the exact engine on its own and by
+	// one lane of a 64-transition wide walk.
+	for lo := 0; lo < 500; lo += 64 {
+		clear(prevW)
+		clear(curW)
+		lanes := min(64, 500-lo)
+		for lane := 0; lane < lanes; lane++ {
+			for i := range prev {
+				prev[i] = src.Bool()
+				cur[i] = src.Bool()
 			}
+			setLane(prevW, lane, prev)
+			setLane(curW, lane, cur)
+			check(exact.Run(prev, cur, clkToQ, timingsim.MaxDeadline).WorstArrival)
+		}
+		sm := wide.Run(prevW, curW, clkToQ, timingsim.MaxDeadline)
+		for lane := 0; lane < lanes; lane++ {
+			check(sm.WorstArrival[lane])
+		}
+	}
+}
+
+// setLane sets bit lane of words[i] to v[i] for every input i.
+func setLane(words []uint64, lane int, v []bool) {
+	for i, b := range v {
+		if b {
+			words[i] |= 1 << uint(lane)
 		}
 	}
 }
@@ -167,18 +189,20 @@ func TestSTACriticalPathIsAchievable(t *testing.T) {
 	const w = 12
 	n := adder(t, w)
 	r := sta.Analyze(n.Compiled(), clkToQ, setup)
-	fast := timingsim.NewFast(n.Compiled(), 1.0)
-	mk := func(x, y, cin uint64) []bool {
+	wide := timingsim.NewWideFast(n.Compiled(), 1.0)
+	mk := func(x, y, cin uint64) []uint64 {
 		in := make([]bool, 2*w+1)
 		logicsim.PackInputs(in, 0, w, x)
 		logicsim.PackInputs(in, w, w, y)
 		in[2*w] = cin == 1
-		return in
+		words := make([]uint64, len(in))
+		setLane(words, 0, in)
+		return words
 	}
-	s := fast.Run(mk(1<<w-1, 0, 0), mk(1<<w-1, 0, 1), clkToQ, timingsim.MaxDeadline)
-	if s.WorstArrival+setup < 0.7*r.WorstDelay {
+	s := wide.Run(mk(1<<w-1, 0, 0), mk(1<<w-1, 0, 1), clkToQ, timingsim.MaxDeadline)
+	if s.WorstArrival[0]+setup < 0.7*r.WorstDelay {
 		t.Fatalf("full carry chain reaches only %v of STA bound %v",
-			s.WorstArrival+setup, r.WorstDelay)
+			s.WorstArrival[0]+setup, r.WorstDelay)
 	}
 }
 

@@ -37,7 +37,6 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 	prev, cur := randomVectors(n, 16, 99)
 
 	scalars := map[string]timingsim.Runner{
-		"fast":  timingsim.NewFast(c, 1.3),
 		"exact": timingsim.NewExact(c, 1.3),
 	}
 	for name, r := range scalars {

@@ -1,11 +1,13 @@
 package timingsim_test
 
 // Differential tests: the compiled-IR engines (logicsim.Sim/WideSim,
-// timingsim.FastSim/ExactSim) must reproduce the behaviour of the legacy
-// per-gate closure walk exactly. The reference engines below are faithful
-// test-local ports of the pre-compilation implementations, operating
-// directly on the netlist's gate list (with Gate.Op.EvalSlice standing in
-// for the removed Eval closure). Circuits are random DAGs from
+// timingsim.WideFastSim/ExactSim) must reproduce the behaviour of the
+// legacy per-gate closure walk exactly. The reference engines below are
+// faithful test-local ports of the pre-compilation implementations,
+// operating directly on the netlist's gate list (with Gate.Op.EvalSlice
+// standing in for the removed Eval closure): refFast is the scalar
+// one-transition-per-walk levelized oracle every WideFastSim lane must
+// match, refExact the event-driven one. Circuits are random DAGs from
 // netlist.Builder, deliberately including duplicate-input gates and
 // input-fed-through outputs.
 
@@ -441,9 +443,7 @@ func TestCompiledTimingEnginesMatchReference(t *testing.T) {
 		prev := make([]bool, ins)
 		cur := make([]bool, ins)
 		for _, scale := range []float64{1.0, 1.18, 1.35} {
-			fast := timingsim.NewFast(c, scale)
 			exact := timingsim.NewExact(c, scale)
-			rf := newRefFast(n, scale)
 			re := newRefExact(n, scale)
 			for trial := 0; trial < 25; trial++ {
 				for i := range prev {
@@ -453,8 +453,6 @@ func TestCompiledTimingEnginesMatchReference(t *testing.T) {
 				worst := re.Run(prev, cur, 10, timingsim.MaxDeadline).WorstArrival
 				for _, frac := range []float64{0.3, 0.7, 1.05} {
 					deadline := worst * frac
-					compareSamples(t, "fast", seed, trial,
-						rf.Run(prev, cur, 10, deadline), fast.Run(prev, cur, 10, deadline))
 					compareSamples(t, "exact", seed, trial,
 						re.Run(prev, cur, 10, deadline), exact.Run(prev, cur, 10, deadline))
 				}
@@ -463,7 +461,7 @@ func TestCompiledTimingEnginesMatchReference(t *testing.T) {
 	}
 }
 
-// compareLaneExact asserts a wide lane reproduces the scalar FastSim
+// compareLaneExact asserts a wide lane reproduces the scalar refFast
 // sample bit for bit — including exact float equality on every arrival,
 // the energy sum and the worst arrival, which the wide engine guarantees
 // by performing the identical float operations in the identical order.
@@ -488,13 +486,15 @@ func compareLaneExact(t *testing.T, seed uint64, trial, lane int, want, got *tim
 	}
 }
 
-// TestWideFastMatchesScalarFast drives 64 random transitions per circuit
-// through one WideFastSim walk and through 64 scalar FastSim runs, and
-// requires every lane to match bit for bit. Circuits include
-// duplicate-pin gates and outputs tapping primary inputs; deadlines sit
-// inside the contested settling window so late captures occur.
-func TestWideFastMatchesScalarFast(t *testing.T) {
-	for _, seed := range []uint64{2, 17, 404, 90210} {
+// TestWideFastMatchesReference drives 64 random transitions per circuit
+// through one WideFastSim walk and through 64 runs of the scalar refFast
+// oracle, and requires every lane to match bit for bit. It spans nine
+// circuits (duplicate-pin gates, outputs tapping primary inputs), four
+// delay scales, and deadlines from deep inside the contested settling
+// window, where late captures occur, to just past lane 0's worst
+// arrival.
+func TestWideFastMatchesReference(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 7, 17, 42, 404, 1009, 77777, 90210} {
 		n := randomCircuit(t, seed)
 		c := n.Compiled()
 		src := prng.New(seed*0x9E3779B9 + 1)
@@ -503,8 +503,8 @@ func TestWideFastMatchesScalarFast(t *testing.T) {
 		curs := make([][]bool, 64)
 		prevW := make([]uint64, ins)
 		curW := make([]uint64, ins)
-		for _, scale := range []float64{1.0, 1.27} {
-			fast := timingsim.NewFast(c, scale)
+		for _, scale := range []float64{1.0, 1.18, 1.27, 1.35} {
+			ref := newRefFast(n, scale)
 			wide := timingsim.NewWideFast(c, scale)
 			exact := timingsim.NewExact(c, scale)
 			var laneBuf timingsim.Sample
@@ -528,13 +528,13 @@ func TestWideFastMatchesScalarFast(t *testing.T) {
 					}
 					prevs[lane], curs[lane] = p, q
 				}
-				// Pick a deadline in the contested region of lane 0.
+				// Deadlines relative to lane 0's settled worst arrival.
 				worst := exact.Run(prevs[0], curs[0], 10, timingsim.MaxDeadline).WorstArrival
-				for _, frac := range []float64{0.4, 0.8, 1.1} {
+				for _, frac := range []float64{0.3, 0.4, 0.7, 0.8, 1.05, 1.1} {
 					deadline := worst * frac
 					wide.Run(prevW, curW, 10, deadline)
 					for lane := 0; lane < 64; lane++ {
-						want := fast.Run(prevs[lane], curs[lane], 10, deadline)
+						want := ref.Run(prevs[lane], curs[lane], 10, deadline)
 						got := wide.LaneSample(lane, &laneBuf)
 						compareLaneExact(t, seed, trial, lane, want, got)
 					}

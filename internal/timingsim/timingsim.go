@@ -3,16 +3,19 @@
 // timing analysis: the reduced-voltage gate-level simulation whose sampled
 // outputs are compared with the golden run to detect timing errors.
 //
-// Two engines are provided, both running on the compiled flat IR
-// (netlist.Compiled) with opcode dispatch:
+// Each timing semantic has one engine, both running on the compiled flat
+// IR (netlist.Compiled) with opcode dispatch:
 //
-//   - Exact: event-driven simulation with inertial delays. Captures the
+//   - WideFastSim: levelized transition/arrival propagation, 64
+//     independent transitions per circuit walk. For a late-arriving bit it
+//     assumes the previous-cycle value is captured (the standard "old
+//     value" timing-error model) and ignores glitch-induced wrong
+//     captures. Used for all characterization campaigns; ShiftLanes turns
+//     its 64 lanes into one serial transition history.
+//   - ExactSim: event-driven simulation with inertial delays. Captures the
 //     value every net holds at the capture deadline, including glitches.
-//   - Fast: single-pass levelized transition/arrival propagation. For a
-//     late-arriving bit it assumes the previous-cycle value is captured
-//     (the standard "old value" timing-error model) and ignores
-//     glitch-induced wrong captures. ~10-50x faster; validated against
-//     Exact in tests and used for large characterization campaigns.
+//     Glitch handling is inherently serial (event order couples lanes),
+//     so it times one transition per Run.
 package timingsim
 
 import (
@@ -38,7 +41,8 @@ type Sample struct {
 	// settled value.
 	Violations int
 	// Toggles counts gate-output transitions during the run (a dynamic
-	// energy proxy; Exact counts every event, Fast counts changed gates).
+	// energy proxy; Exact counts every event, the levelized engine counts
+	// changed gates).
 	Toggles int64
 	// EnergyFJ is the dynamic energy of those transitions (sum of the
 	// toggled gates' per-transition energies), femtojoules.
@@ -67,134 +71,6 @@ type Runner interface {
 	// capture happens at deadline (CLK minus setup). The returned Sample
 	// is valid until the next Run call.
 	Run(prev, cur []bool, inputArrival, deadline float64) *Sample
-}
-
-// ---------------------------------------------------------------------------
-// Fast engine
-
-// FastSim is the levelized arrival-time engine.
-type FastSim struct {
-	c       *netlist.Compiled
-	scale   float64
-	oldV    []bool
-	newV    []bool
-	changed []bool
-	arrival []float64
-	sample  Sample
-}
-
-// NewFast returns a fast engine for the compiled netlist with all gate
-// delays multiplied by scale (the corner's delay inflation; 1.0 =
-// nominal).
-func NewFast(c *netlist.Compiled, scale float64) *FastSim {
-	s := &FastSim{
-		c:       c,
-		scale:   scale,
-		oldV:    make([]bool, c.NumNets),
-		newV:    make([]bool, c.NumNets),
-		changed: make([]bool, c.NumNets),
-		arrival: make([]float64, c.NumNets),
-	}
-	s.oldV[netlist.Const1] = true
-	s.newV[netlist.Const1] = true
-	outs := len(c.Outputs)
-	s.sample = Sample{
-		Captured: make([]bool, outs),
-		Settled:  make([]bool, outs),
-		Arrival:  make([]float64, outs),
-	}
-	return s
-}
-
-// Run implements Runner.
-func (s *FastSim) Run(prev, cur []bool, inputArrival, deadline float64) *Sample {
-	c := s.c
-	if len(prev) != len(c.Inputs) || len(cur) != len(c.Inputs) {
-		panic("timingsim: input width mismatch")
-	}
-	for i, net := range c.Inputs {
-		s.oldV[net] = prev[i]
-		s.newV[net] = cur[i]
-		s.changed[net] = prev[i] != cur[i]
-		s.arrival[net] = inputArrival
-	}
-	var toggles int64
-	var energy float64
-	in, stride := c.In, c.Stride
-	oldV, newV, changed := s.oldV, s.newV, s.changed
-	for gi := 0; gi < c.NumGates; gi++ {
-		base := gi * stride
-		// Padded pins read Const0, which never changes and which every
-		// opcode ignores beyond its arity, so the loads are unconditional.
-		i0, i1, i2 := in[base], in[base+1], in[base+2]
-		op := c.Op[gi]
-		out := c.Out[gi]
-		anyChanged := changed[i0] || changed[i1] || changed[i2]
-		oldOut := op.Eval(oldV[i0], oldV[i1], oldV[i2])
-		oldV[out] = oldOut
-		if !anyChanged {
-			newV[out] = oldOut
-			changed[out] = false
-			s.arrival[out] = 0
-			continue
-		}
-		newOut := op.Eval(newV[i0], newV[i1], newV[i2])
-		newV[out] = newOut
-		if newOut == oldOut {
-			changed[out] = false
-			s.arrival[out] = 0
-			continue
-		}
-		toggles++
-		energy += c.Energy[gi]
-		changed[out] = true
-		worst := 0.0
-		ni := int(c.NumIn[gi])
-		for i := 0; i < ni; i++ {
-			inNet := in[base+i]
-			if !changed[inNet] {
-				continue
-			}
-			var d float64
-			if newOut {
-				d = c.Rise[base+i]
-			} else {
-				d = c.Fall[base+i]
-			}
-			if t := s.arrival[inNet] + d*s.scale; t > worst {
-				worst = t
-			}
-		}
-		if worst == 0 {
-			worst = inputArrival
-		}
-		s.arrival[out] = worst
-	}
-
-	sm := &s.sample
-	sm.WorstArrival = 0
-	sm.Violations = 0
-	sm.Toggles = toggles
-	sm.EnergyFJ = energy
-	for i, net := range c.Outputs {
-		settled := s.newV[net]
-		sm.Settled[i] = settled
-		arr := 0.0
-		if s.changed[net] {
-			arr = s.arrival[net]
-		}
-		sm.Arrival[i] = arr
-		if arr > sm.WorstArrival {
-			sm.WorstArrival = arr
-		}
-		if s.changed[net] && arr > deadline {
-			sm.Captured[i] = s.oldV[net] // old-value capture
-			sm.Violations++
-		} else {
-			sm.Captured[i] = settled
-		}
-	}
-	return sm
 }
 
 // ---------------------------------------------------------------------------

@@ -40,9 +40,40 @@ func chainDelay(n *netlist.Netlist, rise bool) float64 {
 	return d
 }
 
+// laneRunner adapts the 64-lane WideFastSim to the scalar Runner
+// interface: each Run times the one transition in lane 0, every other
+// lane transition-free, and returns lane 0's Sample.
+type laneRunner struct {
+	wide      *timingsim.WideFastSim
+	prev, cur []uint64
+	sample    timingsim.Sample
+}
+
+func newLaneRunner(c *netlist.Compiled, scale float64) *laneRunner {
+	return &laneRunner{
+		wide: timingsim.NewWideFast(c, scale),
+		prev: make([]uint64, len(c.Inputs)),
+		cur:  make([]uint64, len(c.Inputs)),
+	}
+}
+
+func (r *laneRunner) Run(prev, cur []bool, inputArrival, deadline float64) *timingsim.Sample {
+	for i := range prev {
+		r.prev[i], r.cur[i] = 0, 0
+		if prev[i] {
+			r.prev[i] = 1
+		}
+		if cur[i] {
+			r.cur[i] = 1
+		}
+	}
+	r.wide.Run(r.prev, r.cur, inputArrival, deadline)
+	return r.wide.LaneSample(0, &r.sample)
+}
+
 func runners(n *netlist.Netlist, scale float64) map[string]timingsim.Runner {
 	return map[string]timingsim.Runner{
-		"fast":  timingsim.NewFast(n.Compiled(), scale),
+		"wide":  newLaneRunner(n.Compiled(), scale),
 		"exact": timingsim.NewExact(n.Compiled(), scale),
 	}
 }
@@ -106,7 +137,7 @@ func TestVoltageScaleInflatesDelay(t *testing.T) {
 			t.Fatalf("%s: undervolted run should miss deadline %v", name, mid)
 		}
 	}
-	nominal := timingsim.NewFast(n.Compiled(), 1.0)
+	nominal := newLaneRunner(n.Compiled(), 1.0)
 	if s := nominal.Run([]bool{false}, []bool{true}, 0, rise*(1+scale)/2); s.Violations != 0 {
 		t.Fatal("nominal run should meet the mid deadline")
 	}
@@ -174,8 +205,7 @@ func TestTimingErrorOnLongCarryOnly(t *testing.T) {
 		in[2*w] = cin == 1
 		return in
 	}
-	fast := timingsim.NewFast(n.Compiled(), 1.0)
-	probe := fast.Run(mk(0xFFFF, 0, 0), mk(0xFFFF, 0, 1), 0, timingsim.MaxDeadline)
+	probe := newLaneRunner(n.Compiled(), 1.0).Run(mk(0xFFFF, 0, 0), mk(0xFFFF, 0, 1), 0, timingsim.MaxDeadline)
 	deadline := probe.WorstArrival * 0.6
 	for name, r := range runners(n, 1.0) {
 		long := r.Run(mk(0xFFFF, 0, 0), mk(0xFFFF, 0, 1), 0, deadline)
@@ -217,15 +247,15 @@ func TestSettledMatchesFunctionalSim(t *testing.T) {
 }
 
 func TestFastAgreesWithExactOnChainTopologies(t *testing.T) {
-	// Without reconvergent fanout the two engines must agree exactly on
-	// captured values for any deadline.
+	// Without reconvergent fanout the levelized (wide) and event-driven
+	// engines must agree exactly on captured values for any deadline.
 	n := bufChain(t, 8)
-	fast := timingsim.NewFast(n.Compiled(), 1.0)
+	wide := newLaneRunner(n.Compiled(), 1.0)
 	exact := timingsim.NewExact(n.Compiled(), 1.0)
 	total := chainDelay(n, true)
 	for _, frac := range []float64{0.1, 0.5, 0.9, 1.1} {
 		deadline := total * frac
-		sf := fast.Run([]bool{false}, []bool{true}, 0, deadline)
+		sf := wide.Run([]bool{false}, []bool{true}, 0, deadline)
 		se := exact.Run([]bool{false}, []bool{true}, 0, deadline)
 		if sf.Captured[0] != se.Captured[0] {
 			t.Fatalf("engines disagree at deadline fraction %v", frac)
@@ -236,7 +266,7 @@ func TestFastAgreesWithExactOnChainTopologies(t *testing.T) {
 func TestFastApproximatesExactOnAdder(t *testing.T) {
 	const w = 10
 	n, _ := rippleHarness(t, w)
-	fast := timingsim.NewFast(n.Compiled(), 1.0)
+	wide := newLaneRunner(n.Compiled(), 1.0)
 	exact := timingsim.NewExact(n.Compiled(), 1.0)
 	src := prng.New(123)
 	prev := make([]bool, 2*w+1)
@@ -250,7 +280,7 @@ func TestFastApproximatesExactOnAdder(t *testing.T) {
 		// A deadline in the contested region.
 		probe := exact.Run(prev, cur, 0, timingsim.MaxDeadline)
 		deadline := probe.WorstArrival * 0.7
-		sf := fast.Run(prev, cur, 0, deadline)
+		sf := wide.Run(prev, cur, 0, deadline)
 		se := exact.Run(prev, cur, 0, deadline)
 		for i := range sf.Captured {
 			bits++
@@ -260,11 +290,11 @@ func TestFastApproximatesExactOnAdder(t *testing.T) {
 		}
 	}
 	// The deadline sits deliberately inside the contested settling window,
-	// where the fast engine's old-value assumption and the exact engine's
+	// where the levelized engine's old-value assumption and the exact engine's
 	// glitch-accurate capture legitimately differ; they must still agree
 	// on the large majority of bits.
 	if frac := float64(disagreements) / float64(bits); frac > 0.20 {
-		t.Fatalf("fast/exact captured-bit disagreement %.3f exceeds 20%%", frac)
+		t.Fatalf("wide/exact captured-bit disagreement %.3f exceeds 20%%", frac)
 	}
 }
 

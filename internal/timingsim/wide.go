@@ -10,9 +10,8 @@ import (
 // WideSample is the outcome of one WideFastSim run: up to 64 independent
 // input transitions timed by a single circuit walk. Lane L of every word
 // (bit L, LSB = lane 0) is the result of transition L; the per-lane
-// arrays mirror the scalar Sample fields exactly, so
-// WideFastSim.LaneSample can reconstruct the scalar engine's Sample for
-// any lane bit for bit.
+// arrays mirror the scalar Sample fields, so WideFastSim.LaneSample can
+// reconstruct any lane's Sample bit for bit.
 type WideSample struct {
 	// Captured holds, per primary output (netlist output order), the
 	// 64-lane word of values latched at the capture deadline.
@@ -44,25 +43,26 @@ func (s *WideSample) Clone() *WideSample {
 	return &c
 }
 
-// WideFastSim is the 64-lane counterpart of FastSim: one levelized walk
-// over the compiled IR times up to 64 operand transitions at once. Per-net
+// WideFastSim is the levelized arrival-time engine: one walk over the
+// compiled IR times up to 64 operand transitions at once. Per-net
 // old/new/changed values are bit-parallel uint64 words (like
 // logicsim.WideSim) and arrival times live in a lane-major [net*64+lane]
 // structure-of-arrays; the per-lane float work runs only for lanes whose
 // gate output actually toggled, so the fixed cost of walking the circuit
 // is paid once per 64 transitions instead of once per transition.
 //
-// The engine is bit-exact against FastSim: for every lane, Captured,
-// Settled, arrivals, violation/toggle counts and energies equal a scalar
-// FastSim run of that lane's transition (enforced by differential tests).
-// Lanes are independent; callers that drive fewer than 64 lanes should
-// make the unused lanes transition-free (prev bit == cur bit) so they cost
-// nothing.
+// Every lane is bit-exact against a scalar one-transition-per-walk
+// levelized engine: Captured, Settled, arrivals, violation/toggle counts
+// and energies equal a scalar run of that lane's transition (enforced by
+// differential tests against a test-local scalar oracle). Lanes are
+// independent; callers that drive fewer than 64 lanes should make the
+// unused lanes transition-free (prev bit == cur bit) so they cost
+// nothing. ShiftLanes does both for a serial instruction stream.
 type WideFastSim struct {
 	c     *netlist.Compiled
 	scale float64
 	// riseS/fallS are the stride-padded per-pin delays pre-multiplied by
-	// scale, the same d*scale product FastSim forms per lookup.
+	// scale, the same d*scale product a scalar walk forms per lookup.
 	riseS, fallS []float64
 	oldW         []uint64
 	newW         []uint64
@@ -135,6 +135,27 @@ func NewWideFastShared(c *netlist.Compiled, scale float64, ws *WideScratch) *Wid
 		Settled:  make([]uint64, outs),
 	}
 	return s
+}
+
+// ShiftLanes turns n consecutive input vectors, packed one per lane in
+// the cur words (vector i in lane i, LSB = lane 0), into the serial
+// transition history a one-vector-at-a-time walk would see: lane L's
+// previous input is lane L-1's current one, and lane 0's is carry (bit 0
+// of each word: the last vector of the preceding batch, zero before the
+// first). prev receives the previous-input words; lanes n..63 of cur are
+// overwritten with their prev bits, so they are transition-free and cost
+// the walk nothing; carry advances to lane n-1 for the next batch. cur
+// has one word per input, prev and carry at least as many; n is in
+// [1, 64].
+func ShiftLanes(prev, cur, carry []uint64, n int) {
+	active := ^uint64(0) >> uint(64-n)
+	for j, cw := range cur {
+		pw := cw<<1 | carry[j]
+		cw = cw&active | pw&^active
+		cur[j] = cw
+		prev[j] = pw
+		carry[j] = cw >> uint(n-1) & 1
+	}
 }
 
 // Run times the transitions from the prev input words to cur (one word
@@ -230,8 +251,8 @@ func (s *WideFastSim) Run(prev, cur []uint64, inputArrival, deadline float64) *W
 		// Seed the whole output row's arrivals with inputArrival. Any
 		// changed pin's candidate is arr+d ≥ inputArrival, so the running
 		// max ends at the pins' worst when one contributed and at
-		// inputArrival when none did — exactly FastSim's `worst == 0 →
-		// inputArrival` fallback, without the per-lane test.
+		// inputArrival when none did — exactly the scalar walk's
+		// `worst == 0 → inputArrival` fallback, without the per-lane test.
 		*ob = seedRow
 		for m := toggled; m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros64(m) & 63
